@@ -1,9 +1,8 @@
-//! Benchmarks the hierarchical (landmark-approximate) distance scheme
-//! against the exact oracle on ts5k-large: throughput of bound/estimate
-//! queries vs cached exact point queries, the oracle build itself, and —
-//! printed once at startup — the filter hit rate: the fraction of random
-//! pairs whose triangle-inequality bounds already pin the distance, i.e.
-//! the share of transfer-pair queries that never need exact refinement.
+//! Benchmarks landmark distance bounds against the exact oracle on
+//! ts5k-large: throughput of bound/estimate queries vs cached exact point
+//! queries and a cold exact pair batch (target-bounded sweeps), the
+//! landmark build itself, and — printed once at startup — the share of
+//! random pairs whose triangle-inequality bounds already pin the distance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use proxbal_topology::{
@@ -27,7 +26,7 @@ fn bench_landmark_oracle(c: &mut Criterion) {
         .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
         .collect();
 
-    // Filter-then-refine hit rate: pairs whose bounds already meet.
+    // Pairs whose bounds already meet.
     let exact_hits = pairs
         .iter()
         .filter(|&&(a, b)| {
@@ -70,9 +69,17 @@ fn bench_landmark_oracle(c: &mut Criterion) {
         });
     });
 
-    // The exact path the approximate scheme displaces: cached rows for
-    // every distinct source (the best exact case — no Dijkstra in the
-    // timed loop).
+    // The exact batch the transfer phase runs, from a cold cache: one
+    // target-bounded sweep per distinct node on the smaller endpoint side.
+    group.bench_function("exact_pair_batch_cold", |b| {
+        b.iter(|| {
+            let fresh = DistanceOracle::new(Arc::clone(&graph));
+            std::hint::black_box(fresh.pair_distances(&pairs, 1))
+        });
+    });
+
+    // Cached rows for every distinct source (the best exact case — no
+    // Dijkstra in the timed loop).
     let sources: Vec<u32> = {
         let mut s: Vec<u32> = pairs.iter().map(|&(a, _)| a).collect();
         s.sort_unstable();

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use proxbal_core::reports::{light_slots_with, shed_candidates_with};
 use proxbal_core::{
     BalancerConfig, Classification, ClassifyParams, LoadBalancer, ProximityMode, ProximityParams,
-    RoundWalls, Underlay,
+    RoundWalls,
 };
 use proxbal_ktree::KTree;
 use proxbal_sim::{Scenario, TopologyKind};
@@ -70,19 +70,13 @@ fn bench_round_kernels(c: &mut Criterion) {
     }
 
     // The complete proximity-aware round (all four phases, exact transfer
-    // distances — the refinement path) from a cloned initial state. One
-    // untimed warm-up round first: the prepared oracle caches distance rows
-    // across calls, so without it the first thread count measured would pay
-    // every Dijkstra fill and the later ones would ride its warm cache.
+    // distances) from a cloned initial state. One untimed warm-up round
+    // first, so every measured thread count starts from the same oracle
+    // cache state.
     let aware_round = |threads: usize| {
         let mut net = prepared.net.clone();
         let mut loads = prepared.loads.clone();
-        let underlay = Underlay {
-            oracle: prepared.oracle.as_ref().expect("topology present"),
-            latency_oracle: prepared.latency_oracle.as_ref(),
-            landmarks: &prepared.landmarks,
-            approx: None,
-        };
+        let underlay = prepared.underlay().expect("topology present");
         let cfg = BalancerConfig {
             mode: ProximityMode::Aware(ProximityParams::default()),
             ..prepared.scenario.balancer

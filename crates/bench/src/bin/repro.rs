@@ -7,7 +7,7 @@
 //! repro claims [names...]  # the claim grid (all seven when none given)
 //! repro faults [rate]      # fault-injection sweep at losses {0,1%,5%,rate}
 //! repro xl                 # 65,536 peers on a ts50k underlay (bounded RAM)
-//! repro xl2                # 1,048,576 peers: sharded prepare + landmark distances
+//! repro xl2                # 1,048,576 peers: sharded prepare + exact distances
 //! repro engine             # continuous operation: churn + drift + loss
 //! repro all                # the full figure + claim grid
 //! repro analyze <files>    # behavioral queries over a run's artifacts
@@ -42,7 +42,6 @@
 //! repro --scale xl         # 65,536 peers on a ts50k underlay (bounded RAM)
 //! repro ... --scale small  # reduced size for quick runs
 //! repro xl2 --peers 65536  # xl2 machinery at a reduced peer count (smoke)
-//! repro xl2 ... --exact   # same pipeline, exact distances (sensitivity)
 //! repro ... --seed 42      # change the master seed
 //! repro ... --threads 4    # worker threads for the sweep engine
 //! repro ... --timing       # per-phase wall-clock -> BENCH_repro.json
@@ -109,8 +108,8 @@ enum Scale {
     /// proximity sweep) instead of the figure/claim grid.
     Xl,
     /// 1,048,576 peers: sharded preparation, sharded KT-tree build and
-    /// landmark-approximate transfer distances. One proximity-aware pass,
-    /// in place. `--peers` rescales it for smoke runs.
+    /// exact transfer distances. One proximity-aware pass, in place.
+    /// `--peers` rescales it for smoke runs.
     Xl2,
 }
 
@@ -143,9 +142,6 @@ struct Args {
     epochs: Option<usize>,
     /// `--peers` override for the xl2 phase (reduced-scale smoke runs).
     peers: Option<usize>,
-    /// `--exact` forces exact distances in the xl2 phase (sensitivity runs
-    /// comparing the landmark-approximate scheme against ground truth).
-    exact: bool,
     /// `repro analyze` — run behavioral queries/gates over run artifacts.
     analyze: bool,
     /// Artifact paths for `repro analyze` (`.ndjson` = trace event log,
@@ -261,7 +257,6 @@ fn parse_args() -> Args {
         engine: false,
         epochs: None,
         peers: None,
-        exact: false,
         analyze: false,
         inputs: Vec::new(),
         gates: None,
@@ -326,7 +321,6 @@ fn parse_args() -> Args {
                         .expect("peer count"),
                 );
             }
-            "--exact" => args.exact = true,
             "--gates" => args.gates = Some(it.next().expect("--gates needs a dir or file")),
             "--out" => args.out = Some(it.next().expect("--out needs a path")),
             "--profile" => args.profile = Some(it.next().expect("--profile needs a directory")),
@@ -551,7 +545,7 @@ fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
 }
 
 /// The xl2 phase: the million-peer run — sharded preparation, sharded
-/// KT-tree build, landmark-approximate transfer distances — through one
+/// KT-tree build, exact transfer distances — through one
 /// proximity-aware four-phase pass executed in place. Appends an `xl2`
 /// entry to BENCH_repro.json unless `--peers` rescaled the run (smoke runs
 /// must not clobber the committed full-scale entry).
@@ -564,11 +558,8 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     if let Some(p) = args.peers {
         scenario.peers = p;
     }
-    if args.exact {
-        scenario.distance_mode = proxbal_sim::DistanceMode::Exact;
-    }
     println!(
-        "── xl2 scale: sharded prepare + landmark distances at {} peers on ts50k (seed {}) ──",
+        "── xl2 scale: sharded prepare + exact distances at {} peers on ts50k (seed {}) ──",
         scenario.peers, args.seed
     );
     let total = Instant::now();
@@ -577,13 +568,8 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     let peak_rss = proxbal_bench::peak_rss_bytes();
 
     println!(
-        "underlay: {} nodes   peers: {}   virtual servers: {}   oracle cache: {} rows   shards: {}   refine: {} rows",
-        out.underlay_nodes,
-        out.peers,
-        out.virtual_servers,
-        out.oracle_capacity,
-        out.shards,
-        out.refine_sources
+        "underlay: {} nodes   peers: {}   virtual servers: {}   oracle cache: {} rows   shards: {}",
+        out.underlay_nodes, out.peers, out.virtual_servers, out.oracle_capacity, out.shards
     );
     println!(
         "prepare: {:.1}s   tree build: {:.1}s",
@@ -620,7 +606,7 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         None => println!("total: {total_wall:.1}s   peak RSS: unavailable"),
     }
 
-    if args.peers.is_none() && !args.exact {
+    if args.peers.is_none() {
         // Allocation accounting is on from the top of `main`, so these
         // cover the whole run. Schema-gated only: counts are deterministic
         // per (workload, thread count) but not across thread counts, so
@@ -633,7 +619,6 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
             "virtual_servers": out.virtual_servers,
             "oracle_capacity": out.oracle_capacity,
             "shards": out.shards,
-            "refine_sources": out.refine_sources,
             "threads": args.threads,
             "total_wall_s": total_wall,
             "prepare_wall_s": out.prepare_wall_s,

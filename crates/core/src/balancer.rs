@@ -2,11 +2,11 @@ use crate::classify::NodeClass;
 use crate::lbi::{Lbi, LoadState};
 use crate::reports::ProximityParams;
 use crate::round::{DirtySet, RoundCache};
-use crate::transfer::{TransferDistances, TransferRecord};
+use crate::transfer::TransferRecord;
 use crate::vsa::VsaOutcome;
 use proxbal_chord::ChordNetwork;
 use proxbal_ktree::KTree;
-use proxbal_topology::{DistanceOracle, LandmarkOracle, NodeId};
+use proxbal_topology::{DistanceOracle, NodeId};
 use proxbal_trace::Trace;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -76,40 +76,12 @@ pub struct Underlay<'a> {
     pub latency_oracle: Option<&'a DistanceOracle>,
     /// The landmark nodes (paper: 15 of them).
     pub landmarks: &'a [NodeId],
-    /// When set, VST distance accounting runs the hierarchical landmark
-    /// scheme instead of exact per-pair Dijkstra (see
-    /// [`TransferDistances::Approx`]). `None` — the default everywhere the
-    /// builder's exact mode is in effect — keeps every existing output
-    /// byte-identical.
-    pub approx: Option<ApproxTransfer<'a>>,
-}
-
-/// Configuration of the hierarchical (landmark filter-then-refine) VST
-/// distance scheme, carried by [`Underlay::approx`].
-#[derive(Clone, Copy)]
-pub struct ApproxTransfer<'a> {
-    /// Precomputed landmark vectors in the hop-cost metric.
-    pub landmarks: &'a LandmarkOracle,
-    /// Exact Dijkstra row budget for refining uncertain pairs.
-    pub refine_sources: usize,
 }
 
 impl<'a> Underlay<'a> {
     /// The oracle landmark vectors are measured with.
     pub fn latency(&self) -> &'a DistanceOracle {
         self.latency_oracle.unwrap_or(self.oracle)
-    }
-
-    /// The VST distance scheme this underlay implies.
-    pub fn transfer_distances(&self) -> TransferDistances<'a> {
-        match self.approx {
-            None => TransferDistances::Exact(self.oracle),
-            Some(a) => TransferDistances::Approx {
-                oracle: self.oracle,
-                landmarks: a.landmarks,
-                refine_sources: a.refine_sources,
-            },
-        }
     }
 }
 
@@ -190,7 +162,7 @@ impl LoadBalancer {
 
     /// Sets the worker-thread count for the parallel sections *inside* a
     /// balancing round (LBI generation, aggregation, classification, shed
-    /// extraction, transfer-distance refinement). Purely a performance
+    /// extraction, transfer-distance sweeps). Purely a performance
     /// knob: every output is byte-identical at any thread count — parallel
     /// work is chunked deterministically and merged in index order, and
     /// all randomness is drawn on the caller's thread.

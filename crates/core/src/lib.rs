@@ -62,8 +62,7 @@ mod transfer;
 mod vsa;
 
 pub use balancer::{
-    ApproxTransfer, BalanceReport, BalancerConfig, LoadBalancer, MessageStats, ProximityMode,
-    Underlay,
+    BalanceReport, BalancerConfig, LoadBalancer, MessageStats, ProximityMode, Underlay,
 };
 pub use classify::{ClassifyParams, NodeClass};
 pub use error::Error;
@@ -74,10 +73,8 @@ pub use round::{DirtySet, RoundCache, RoundWalls};
 pub use selection::{choose_shed_set, EXACT_LIMIT};
 pub use split::split_and_place;
 pub use transfer::{
-    absorb_join, execute_transfers, execute_transfers_threaded, execute_transfers_traced,
-    execute_transfers_traced_threaded, execute_transfers_with_requeue,
-    execute_transfers_with_requeue_traced, graceful_leave, total_moved_load, weighted_cost,
-    RequeueOutcome, TransferDistances, TransferRecord,
+    absorb_join, execute_transfers, execute_transfers_with_requeue, graceful_leave,
+    total_moved_load, weighted_cost, RequeueOutcome, TransferRecord,
 };
 pub use vsa::{run_vsa, run_vsa_traced, VsaOutcome, VsaParams};
 

@@ -20,7 +20,7 @@ use crate::lbi::LoadState;
 use crate::reports::{
     ignorant_inputs, light_slots_with, proximity_inputs_with, shed_candidates_with, Classification,
 };
-use crate::transfer::execute_transfers_traced_threaded;
+use crate::transfer::execute_transfers;
 use crate::vsa::{run_vsa_traced, VsaParams};
 use crate::{BalanceReport, LoadBalancer, MessageStats, ProximityMode, Underlay};
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
@@ -443,11 +443,11 @@ impl LoadBalancer {
         // Phase 4: VST (§3.5).
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/transfer");
-        let transfers = execute_transfers_traced_threaded(
+        let transfers = execute_transfers(
             net,
             loads,
             &vsa.assignments,
-            underlay.map(|u| u.transfer_distances()),
+            underlay.map(|u| u.oracle),
             threads,
             trace,
         )?;

@@ -5,6 +5,7 @@ use crate::*;
 use proptest::prelude::*;
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
 use proxbal_ktree::KTree;
+use proxbal_trace::Trace;
 use proxbal_workload::{CapacityProfile, LoadModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -597,7 +598,15 @@ fn execute_transfers_skips_stale_assignments() {
     let victim = assignments[0].from;
     net.crash_peer(victim);
     let before = net.alive_vs_count();
-    let records = execute_transfers(&mut net, &mut loads, &assignments, None).unwrap();
+    let records = execute_transfers(
+        &mut net,
+        &mut loads,
+        &assignments,
+        None,
+        1,
+        &mut Trace::disabled(),
+    )
+    .unwrap();
     assert!(records.iter().all(|r| r.assignment.from != victim));
     assert_eq!(net.alive_vs_count(), before);
     net.check_invariants().unwrap();
@@ -616,14 +625,20 @@ fn execute_transfers_unattached_peer_is_typed_error() {
     // asserting.
     let topo = TransitStubTopology::generate(TransitStubConfig::tiny(), &mut rng);
     let oracle = DistanceOracle::new(Arc::new(topo.graph));
+    let before = net.alive_vs_count();
     let err = execute_transfers(
         &mut net,
         &mut loads,
         &assignments,
-        Some(crate::transfer::TransferDistances::Exact(&oracle)),
+        Some(&oracle),
+        1,
+        &mut Trace::disabled(),
     )
     .unwrap_err();
     assert!(matches!(err, Error::UnattachedPeer(_)));
+    // The check runs before anything moves.
+    assert_eq!(net.alive_vs_count(), before);
+    net.check_invariants().unwrap();
 }
 
 #[test]
@@ -652,9 +667,17 @@ fn requeue_reassigns_transfers_whose_receiver_died() {
         spare: 1e18,
         peer: alt,
     });
-    let outcome =
-        execute_transfers_with_requeue(&mut net, &mut loads, &assignments, None, &mut spare, 0.0)
-            .unwrap();
+    let outcome = execute_transfers_with_requeue(
+        &mut net,
+        &mut loads,
+        &assignments,
+        None,
+        &mut spare,
+        0.0,
+        1,
+        &mut Trace::disabled(),
+    )
+    .unwrap();
     assert_eq!(outcome.requeued, lost);
     assert_eq!(outcome.reassigned, lost, "roomy slot takes every orphan");
     assert_eq!(outcome.abandoned, 0);
@@ -679,9 +702,17 @@ fn requeue_without_room_abandons_for_next_round() {
     net.crash_peer(dead);
     let lost = assignments.iter().filter(|a| a.to == dead).count();
     let mut spare = RendezvousLists::new(); // no surviving light slots
-    let outcome =
-        execute_transfers_with_requeue(&mut net, &mut loads, &assignments, None, &mut spare, 0.0)
-            .unwrap();
+    let outcome = execute_transfers_with_requeue(
+        &mut net,
+        &mut loads,
+        &assignments,
+        None,
+        &mut spare,
+        0.0,
+        1,
+        &mut Trace::disabled(),
+    )
+    .unwrap();
     assert_eq!(outcome.requeued, lost);
     assert_eq!(outcome.reassigned, 0);
     assert_eq!(outcome.abandoned, lost);

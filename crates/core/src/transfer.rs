@@ -2,36 +2,9 @@ use crate::error::Error;
 use crate::lbi::LoadState;
 use crate::pairing::{Assignment, RendezvousLists, ShedCandidate};
 use proxbal_chord::{ChordNetwork, PeerId, PeerState, VsId};
-use proxbal_topology::{DistanceOracle, LandmarkOracle};
+use proxbal_topology::DistanceOracle;
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
-
-/// How VST accounts the physical distance of each transfer.
-///
-/// The exact scheme runs one bucket-queue Dijkstra per distinct endpoint —
-/// the scale ceiling at millions of virtual servers. The hierarchical
-/// scheme answers most pairs from landmark triangle-inequality bounds and
-/// spends exact Dijkstra only where the bounds disagree *and* the source
-/// covers enough uncertain pairs to be worth a full row (filter-then-
-/// refine). Both are pure functions of their inputs, so either mode is
-/// byte-identical at any thread count.
-#[derive(Clone, Copy)]
-pub enum TransferDistances<'a> {
-    /// Every pair measured by exact Dijkstra rows (the default — existing
-    /// outputs stay byte-identical).
-    Exact(&'a DistanceOracle),
-    /// Landmark bounds first, exact rows only for the
-    /// highest-coverage uncertain sources.
-    Approx {
-        /// Exact oracle for the refinement rows.
-        oracle: &'a DistanceOracle,
-        /// Precomputed landmark vectors answering the filter stage.
-        landmarks: &'a LandmarkOracle,
-        /// How many distinct sources (on the cheaper endpoint side) get an
-        /// exact Dijkstra row; the rest keep the landmark upper bound.
-        refine_sources: usize,
-    },
-}
 
 /// One executed virtual-server transfer (VST, §3.5).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -46,92 +19,66 @@ pub struct TransferRecord {
 
 /// Executes assignments against the network: each virtual server moves to
 /// its assigned peer (a Chord *leave* + *join* at the same ring position),
-/// its load riding along. Records the physical transfer distance when an
-/// underlay oracle is available — the cost metric of Figures 7 and 8.
+/// its load riding along. Records the exact physical transfer distance when
+/// an underlay oracle is given — the cost metric of Figures 7 and 8 — from
+/// one [`DistanceOracle::pair_distances`] batch on up to `threads` workers
+/// (the values are identical at any `threads`).
 ///
 /// Assignments whose source peer no longer hosts the virtual server (e.g.
-/// it crashed between VSA and VST) are skipped, mirroring the soft-state
-/// tolerance of the protocol. Fails with
-/// [`Error::UnattachedPeer`] when a distance is requested for a
-/// peer that was never attached to the underlay.
+/// it crashed between VSA and VST) or whose receiver is dead are skipped,
+/// mirroring the soft-state tolerance of the protocol. Fails with
+/// [`Error::UnattachedPeer`], before moving anything, when a distance is
+/// requested for a peer that was never attached to the underlay.
+///
+/// Records VST metrics into `trace`: the `vst_load_per_hop` histogram
+/// (observation = physical distance, weight = load moved at that
+/// distance), executed/skipped counters, and the moved load and
+/// `Σ load·distance` cost as floating-point counters.
 pub fn execute_transfers(
     net: &mut ChordNetwork,
     loads: &mut LoadState,
     assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
-) -> Result<Vec<TransferRecord>, Error> {
-    execute_transfers_threaded(net, loads, assignments, distances, auto_threads())
-}
-
-/// [`execute_transfers`] with an explicit worker-thread count for the
-/// Dijkstra row batches of the distance memo. The memo is a pure function
-/// of the assignment set and the oracles — its values (and therefore every
-/// record) are identical at any `threads`; only the row-fill wall time
-/// changes.
-pub fn execute_transfers_threaded(
-    net: &mut ChordNetwork,
-    loads: &mut LoadState,
-    assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
+    oracle: Option<&DistanceOracle>,
     threads: usize,
+    trace: &mut Trace,
 ) -> Result<Vec<TransferRecord>, Error> {
-    // With an unbounded oracle cache, warm whole rows and query per
-    // transfer. With a bounded cache, precompute every pair distance up
-    // front in capacity-sized batches instead: peer attachments are
-    // immutable, so the values are identical, and the per-transfer query
-    // order (which interleaves both endpoints) can no longer thrash the
-    // cache into recomputing rows. The approximate scheme always memoizes
-    // up front (landmark filter, then exact refinement rows).
-    let memo: Option<DistanceMemo> = match distances {
-        Some(TransferDistances::Exact(o)) if o.capacity() > 0 => {
-            Some(pair_distances_chunked(net, assignments, o, threads))
-        }
-        Some(TransferDistances::Exact(o)) => {
-            precompute_endpoint_rows(net, assignments, o, threads);
-            None
-        }
-        Some(TransferDistances::Approx {
-            oracle,
-            landmarks,
-            refine_sources,
-        }) => Some(pair_distances_approx(
-            net,
-            assignments,
-            oracle,
-            landmarks,
-            refine_sources,
-            threads,
-        )),
-        None => None,
-    };
-    let mut out = Vec::with_capacity(assignments.len());
-    for &a in assignments {
-        let vs = net.vs(a.vs);
-        if !vs.alive || vs.host != a.from {
-            continue; // stale assignment
-        }
-        if net.peer(a.to).state != proxbal_chord::PeerState::Alive {
-            continue;
-        }
-        net.transfer_vs(a.vs, a.to);
-        let distance = match distances {
-            Some(d) => {
+    // VSA assigns each virtual server at most once, and a transfer changes
+    // only its own virtual server's host, so executing one assignment never
+    // changes whether another is executable: the set is fixed up front.
+    let executable: Vec<Assignment> = assignments
+        .iter()
+        .copied()
+        .filter(|a| {
+            let vs = net.vs(a.vs);
+            vs.alive && vs.host == a.from && net.peer(a.to).state == PeerState::Alive
+        })
+        .collect();
+    let distances: Vec<Option<u32>> = match oracle {
+        Some(oracle) => {
+            let mut pairs = Vec::with_capacity(executable.len());
+            for a in &executable {
                 let from = net.peer(a.from).underlay;
-                let to = net.peer(a.to).underlay;
                 if from == u32::MAX {
                     return Err(Error::UnattachedPeer(a.from));
                 }
+                let to = net.peer(a.to).underlay;
                 if to == u32::MAX {
                     return Err(Error::UnattachedPeer(a.to));
                 }
-                let memoized = memo.as_ref().and_then(|m| m.get(&(from, to)).copied());
-                Some(memoized.unwrap_or_else(|| match d {
-                    TransferDistances::Exact(o) => o.distance(from, to),
-                    TransferDistances::Approx { landmarks, .. } => landmarks.estimate(from, to),
-                }))
+                pairs.push((from, to));
             }
-            None => None,
-        };
+            oracle
+                .pair_distances(&pairs, threads)
+                .into_iter()
+                .map(Some)
+                .collect()
+        }
+        None => vec![None; executable.len()],
+    };
+    let mut out = Vec::with_capacity(executable.len());
+    for (a, distance) in executable.into_iter().zip(distances) {
+        debug_assert_eq!(net.vs(a.vs).host, a.from, "virtual server assigned twice");
+        net.transfer_vs(a.vs, a.to);
         // Load rides with the virtual server; LoadState is keyed by VsId so
         // nothing to move — but assert the invariant in debug builds.
         debug_assert!((loads.vs_load(a.vs) - a.load).abs() < 1e-9 || a.load >= 0.0);
@@ -140,34 +87,6 @@ pub fn execute_transfers_threaded(
             distance,
         });
     }
-    Ok(out)
-}
-
-/// Like [`execute_transfers`], recording VST metrics into `trace`: the
-/// `vst_load_per_hop` histogram (observation = physical distance, weight =
-/// load moved at that distance), executed/skipped counters, and the moved
-/// load and `Σ load·distance` cost as floating-point counters.
-pub fn execute_transfers_traced(
-    net: &mut ChordNetwork,
-    loads: &mut LoadState,
-    assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
-    trace: &mut Trace,
-) -> Result<Vec<TransferRecord>, Error> {
-    execute_transfers_traced_threaded(net, loads, assignments, distances, auto_threads(), trace)
-}
-
-/// [`execute_transfers_traced`] with an explicit worker-thread count (see
-/// [`execute_transfers_threaded`]).
-pub fn execute_transfers_traced_threaded(
-    net: &mut ChordNetwork,
-    loads: &mut LoadState,
-    assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
-    threads: usize,
-    trace: &mut Trace,
-) -> Result<Vec<TransferRecord>, Error> {
-    let out = execute_transfers_threaded(net, loads, assignments, distances, threads)?;
     if trace.is_enabled() {
         trace.count("vst_transfers", out.len() as u64);
         trace.count("vst_skipped", (assignments.len() - out.len()) as u64);
@@ -207,40 +126,21 @@ pub struct RequeueOutcome {
 /// (§3.4's graceful degradation). Deterministic: both lists are sorted and
 /// the re-pairing is the same best-fit walk as the in-sweep pairing.
 ///
-/// The default [`execute_transfers`] path is untouched — fault-free runs
-/// stay byte-identical.
+/// Records the VST metrics of [`execute_transfers`] plus
+/// `requeue_requeued` / `requeue_reassigned` / `requeue_abandoned`
+/// counters into `trace`.
+#[allow(clippy::too_many_arguments)]
 pub fn execute_transfers_with_requeue(
     net: &mut ChordNetwork,
     loads: &mut LoadState,
     assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
+    oracle: Option<&DistanceOracle>,
     spare: &mut RendezvousLists,
     l_min: f64,
-) -> Result<RequeueOutcome, Error> {
-    execute_transfers_with_requeue_traced(
-        net,
-        loads,
-        assignments,
-        distances,
-        spare,
-        l_min,
-        &mut Trace::disabled(),
-    )
-}
-
-/// Like [`execute_transfers_with_requeue`], recording VST metrics (see
-/// [`execute_transfers_traced`]) plus `requeue_requeued` /
-/// `requeue_reassigned` / `requeue_abandoned` counters into `trace`.
-pub fn execute_transfers_with_requeue_traced(
-    net: &mut ChordNetwork,
-    loads: &mut LoadState,
-    assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
-    spare: &mut RendezvousLists,
-    l_min: f64,
+    threads: usize,
     trace: &mut Trace,
 ) -> Result<RequeueOutcome, Error> {
-    let transfers = execute_transfers_traced(net, loads, assignments, distances, trace)?;
+    let transfers = execute_transfers(net, loads, assignments, oracle, threads, trace)?;
     // Assignments still valid on the shedding side whose receiver died.
     let mut requeued = 0usize;
     for a in assignments {
@@ -267,7 +167,7 @@ pub fn execute_transfers_with_requeue_traced(
     spare.pair_into_traced(l_min, &mut extra, trace);
     // Dead light peers may linger in `spare` too; the executor's liveness
     // filter drops those pairings, leaving the candidate for next round.
-    let executed = execute_transfers_traced(net, loads, &extra, distances, trace)?;
+    let executed = execute_transfers(net, loads, &extra, oracle, threads, trace)?;
     outcome.reassigned = executed.len();
     outcome.abandoned = requeued - outcome.reassigned;
     outcome.transfers.extend(executed);
@@ -275,196 +175,6 @@ pub fn execute_transfers_with_requeue_traced(
     trace.count("requeue_reassigned", outcome.reassigned as u64);
     trace.count("requeue_abandoned", outcome.abandoned as u64);
     Ok(outcome)
-}
-
-type DistanceMemo = std::collections::HashMap<(u32, u32), u32>;
-
-/// Worker count used by the legacy (thread-agnostic) entry points: all
-/// available cores, as before the explicit `threads` plumbing.
-fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Collects the `(from, to)` attachment pairs of the assignments that look
-/// executable right now (same filter [`execute_transfers`] applies).
-fn endpoint_pairs(net: &ChordNetwork, assignments: &[Assignment]) -> Vec<(u32, u32)> {
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(assignments.len());
-    for a in assignments {
-        let vs = net.vs(a.vs);
-        if !vs.alive || vs.host != a.from {
-            continue;
-        }
-        if net.peer(a.to).state != proxbal_chord::PeerState::Alive {
-            continue;
-        }
-        let from = net.peer(a.from).underlay;
-        let to = net.peer(a.to).underlay;
-        if from != u32::MAX && to != u32::MAX {
-            pairs.push((from, to));
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-/// Computes every endpoint-pair distance through a **bounded** oracle cache
-/// without thrashing it: distinct sources on the cheaper side are processed
-/// in batches of at most half the cache capacity, each batch's rows filled
-/// once (in parallel) and drained into a flat pair→distance memo before the
-/// next batch may evict them.
-fn pair_distances_chunked(
-    net: &ChordNetwork,
-    assignments: &[Assignment],
-    oracle: &DistanceOracle,
-    threads: usize,
-) -> DistanceMemo {
-    let pairs = endpoint_pairs(net, assignments);
-    let mut froms: Vec<u32> = pairs.iter().map(|&(f, _)| f).collect();
-    let mut tos: Vec<u32> = pairs.iter().map(|&(_, t)| t).collect();
-    froms.sort_unstable();
-    froms.dedup();
-    tos.sort_unstable();
-    tos.dedup();
-    // One Dijkstra per distinct node on the smaller side covers every pair.
-    let by_to = tos.len() <= froms.len();
-    let mut by_src: std::collections::BTreeMap<u32, Vec<u32>> = std::collections::BTreeMap::new();
-    for &(f, t) in &pairs {
-        let (src, other) = if by_to { (t, f) } else { (f, t) };
-        by_src.entry(src).or_default().push(other);
-    }
-    let sources: Vec<u32> = by_src.keys().copied().collect();
-    let batch = (oracle.capacity() / 2).max(1);
-    let mut memo = DistanceMemo::with_capacity(pairs.len());
-    for chunk in sources.chunks(batch) {
-        oracle.precompute(chunk, threads);
-        for &src in chunk {
-            let row = oracle.row(src);
-            for &other in &by_src[&src] {
-                let (f, t) = if by_to { (other, src) } else { (src, other) };
-                memo.insert((f, t), row.get(other as usize));
-            }
-        }
-    }
-    memo
-}
-
-/// Filter-then-refine pair distances for [`TransferDistances::Approx`].
-///
-/// **Filter**: every endpoint pair gets landmark triangle-inequality
-/// bounds; pairs whose lower and upper bounds meet are exact for free.
-/// **Refine**: the remaining uncertain pairs are grouped by their cheaper
-/// endpoint side (fewer distinct sources), sources are ranked by how many
-/// uncertain pairs a full row would settle (ties by ascending id), and only
-/// the top `refine_sources` of them get exact Dijkstra rows — chunked
-/// through the bounded cache like the exact path. Pairs left over keep the
-/// landmark upper bound. Every step is a pure function of the assignment
-/// set and the oracles, so the memo is identical at any thread count.
-fn pair_distances_approx(
-    net: &ChordNetwork,
-    assignments: &[Assignment],
-    oracle: &DistanceOracle,
-    landmarks: &LandmarkOracle,
-    refine_sources: usize,
-    threads: usize,
-) -> DistanceMemo {
-    let pairs = endpoint_pairs(net, assignments);
-    let mut memo = DistanceMemo::with_capacity(pairs.len());
-    let mut uncertain: Vec<(u32, u32)> = Vec::new();
-    for &(f, t) in &pairs {
-        let (lo, hi) = landmarks.bounds(f, t);
-        if lo == hi {
-            memo.insert((f, t), hi);
-        } else {
-            uncertain.push((f, t));
-        }
-    }
-    if !uncertain.is_empty() && refine_sources > 0 {
-        let mut froms: Vec<u32> = uncertain.iter().map(|&(f, _)| f).collect();
-        let mut tos: Vec<u32> = uncertain.iter().map(|&(_, t)| t).collect();
-        froms.sort_unstable();
-        froms.dedup();
-        tos.sort_unstable();
-        tos.dedup();
-        let by_to = tos.len() <= froms.len();
-        let mut by_src: std::collections::BTreeMap<u32, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for &(f, t) in &uncertain {
-            let (src, other) = if by_to { (t, f) } else { (f, t) };
-            by_src.entry(src).or_default().push(other);
-        }
-        let mut ranked: Vec<(u32, usize)> = by_src.iter().map(|(&s, v)| (s, v.len())).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut chosen: Vec<u32> = ranked
-            .iter()
-            .take(refine_sources)
-            .map(|&(s, _)| s)
-            .collect();
-        chosen.sort_unstable();
-        let batch = match oracle.capacity() {
-            0 => chosen.len().max(1),
-            cap => (cap / 2).max(1),
-        };
-        for chunk in chosen.chunks(batch) {
-            oracle.precompute(chunk, threads);
-            for &src in chunk {
-                let row = oracle.row(src);
-                for &other in &by_src[&src] {
-                    let (f, t) = if by_to { (other, src) } else { (src, other) };
-                    memo.insert((f, t), row.get(other as usize));
-                }
-            }
-        }
-    }
-    for (f, t) in uncertain {
-        memo.entry((f, t))
-            .or_insert_with(|| landmarks.bounds(f, t).1);
-    }
-    memo
-}
-
-/// Batch-fills oracle rows for the cheaper side of the transfer endpoints.
-///
-/// Every transfer needs `distance(from, to)`. The oracle answers a point
-/// query from either endpoint's cached row (the graph is undirected), so
-/// one Dijkstra per *distinct* attachment on the smaller side covers every
-/// pair — typically the receiving light nodes, a ~3× smaller set than the
-/// shedding heavy nodes.
-fn precompute_endpoint_rows(
-    net: &ChordNetwork,
-    assignments: &[Assignment],
-    oracle: &DistanceOracle,
-    threads: usize,
-) {
-    let mut froms: Vec<u32> = Vec::with_capacity(assignments.len());
-    let mut tos: Vec<u32> = Vec::with_capacity(assignments.len());
-    for a in assignments {
-        let vs = net.vs(a.vs);
-        if !vs.alive || vs.host != a.from {
-            continue;
-        }
-        if net.peer(a.to).state != proxbal_chord::PeerState::Alive {
-            continue;
-        }
-        let from = net.peer(a.from).underlay;
-        let to = net.peer(a.to).underlay;
-        if from != u32::MAX && to != u32::MAX {
-            froms.push(from);
-            tos.push(to);
-        }
-    }
-    froms.sort_unstable();
-    froms.dedup();
-    tos.sort_unstable();
-    tos.dedup();
-    let smaller = if tos.len() <= froms.len() {
-        &tos
-    } else {
-        &froms
-    };
-    oracle.precompute(smaller, threads);
 }
 
 /// Total load moved across a set of transfers.

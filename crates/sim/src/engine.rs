@@ -34,9 +34,7 @@ use crate::faults::{
 use crate::protocol::{ProtocolError, ProtocolScratch};
 use crate::Prepared;
 use proxbal_chord::{ChordNetwork, PeerId};
-use proxbal_core::{
-    total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache, Underlay,
-};
+use proxbal_core::{total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache};
 use proxbal_ktree::{KTree, KtNodeId, RepairStats};
 use proxbal_profile::{NullSink, ProgressSink};
 use proxbal_trace::Trace;
@@ -493,17 +491,6 @@ pub fn run_engine_with(
                 des_retries = agg.retries + dis.retries;
             }
 
-            let underlay = prepared.oracle.as_ref().map(|oracle| Underlay {
-                oracle,
-                latency_oracle: prepared.latency_oracle.as_ref(),
-                landmarks: &prepared.landmarks,
-                approx: prepared.hop_landmarks.as_ref().map(|landmarks| {
-                    proxbal_core::ApproxTransfer {
-                        landmarks,
-                        refine_sources: prepared.scenario.refine_sources,
-                    }
-                }),
-            });
             // A cold cache means every peer reports fresh regardless of the
             // dirty set; say so explicitly so the message accounting matches
             // a one-shot run.
@@ -513,18 +500,26 @@ pub fn run_engine_with(
             } else {
                 DirtySet::Peers(std::mem::take(&mut dirty))
             };
-            loop {
+            // The underlay view borrows `prepared`, so the overlay and loads
+            // move out for the passes and come back before any early return.
+            let mut net = std::mem::take(&mut prepared.net);
+            let mut loads = std::mem::take(&mut prepared.loads);
+            let underlay = prepared.underlay();
+            let passes_done = loop {
                 passes += 1;
-                let round = balancer.run_round_traced(
-                    &mut prepared.net,
-                    &mut prepared.loads,
+                let round = match balancer.run_round_traced(
+                    &mut net,
+                    &mut loads,
                     &mut tree,
                     underlay,
                     &mut cache,
                     &round_dirty,
                     &mut bal_rng,
                     &mut tr,
-                )?;
+                ) {
+                    Ok(round) => round,
+                    Err(e) => break Err(e),
+                };
                 moved += total_moved_load(&round.transfers);
                 transfers += round.transfers.len();
                 messages += round.messages.lbi_messages
@@ -544,10 +539,13 @@ pub fn run_engine_with(
                 // next pass (or the next epoch's round).
                 dirty = participants.clone();
                 if done {
-                    break;
+                    break Ok(());
                 }
                 round_dirty = DirtySet::Peers(participants);
-            }
+            };
+            prepared.net = net;
+            prepared.loads = loads;
+            passes_done?;
             report.balances += 1;
             if emergency && !scheduled && !last {
                 report.emergencies += 1;

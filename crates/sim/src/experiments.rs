@@ -37,34 +37,8 @@ pub fn fig4_unit_load_traced(prepared: &mut Prepared, trace: &mut Trace) -> Fig4
         .map(|&p| prepared.loads.unit_load(&prepared.net, p))
         .collect();
 
-    let balancer = LoadBalancer::new(prepared.scenario.balancer);
-    // Field-wise borrow (not `prepared.underlay()`) so `net`/`loads` can be
-    // borrowed mutably at the same time.
-    let underlay = prepared
-        .oracle
-        .as_ref()
-        .map(|oracle| proxbal_core::Underlay {
-            oracle,
-            latency_oracle: prepared.latency_oracle.as_ref(),
-            landmarks: &prepared.landmarks,
-            approx: prepared
-                .hop_landmarks
-                .as_ref()
-                .map(|landmarks| proxbal_core::ApproxTransfer {
-                    landmarks,
-                    refine_sources: prepared.scenario.refine_sources,
-                }),
-        });
     let mut rng = prepared.derived_rng(4);
-    let report = balancer
-        .run_traced(
-            &mut prepared.net,
-            &mut prepared.loads,
-            underlay,
-            &mut rng,
-            trace,
-        )
-        .expect("attached network");
+    let report = run_in_place(prepared, &mut rng, trace);
 
     let after: Vec<f64> = peers
         .iter()
@@ -75,6 +49,24 @@ pub fn fig4_unit_load_traced(prepared: &mut Prepared, trace: &mut Trace) -> Fig4
         after,
         report,
     }
+}
+
+/// One balancing run of the scenario's configuration over `prepared`'s own
+/// overlay and loads. The underlay view borrows `prepared`, so the two move
+/// out for the run and come back after it.
+fn run_in_place(
+    prepared: &mut Prepared,
+    rng: &mut rand::rngs::StdRng,
+    trace: &mut Trace,
+) -> BalanceReport {
+    let mut net = std::mem::take(&mut prepared.net);
+    let mut loads = std::mem::take(&mut prepared.loads);
+    let report = LoadBalancer::new(prepared.scenario.balancer)
+        .run_traced(&mut net, &mut loads, prepared.underlay(), rng, trace)
+        .expect("attached network");
+    prepared.net = net;
+    prepared.loads = loads;
+    report
 }
 
 /// Figures 5 and 6: node loads grouped by capacity class, before and after
@@ -120,32 +112,8 @@ pub fn fig56_class_loads_traced(prepared: &mut Prepared, trace: &mut Trace) -> C
     };
 
     let before = collect(prepared);
-    let balancer = LoadBalancer::new(prepared.scenario.balancer);
-    let underlay = prepared
-        .oracle
-        .as_ref()
-        .map(|oracle| proxbal_core::Underlay {
-            oracle,
-            latency_oracle: prepared.latency_oracle.as_ref(),
-            landmarks: &prepared.landmarks,
-            approx: prepared
-                .hop_landmarks
-                .as_ref()
-                .map(|landmarks| proxbal_core::ApproxTransfer {
-                    landmarks,
-                    refine_sources: prepared.scenario.refine_sources,
-                }),
-        });
     let mut rng = prepared.derived_rng(56);
-    let report = balancer
-        .run_traced(
-            &mut prepared.net,
-            &mut prepared.loads,
-            underlay,
-            &mut rng,
-            trace,
-        )
-        .expect("attached network");
+    let report = run_in_place(prepared, &mut rng, trace);
     let after = collect(prepared);
 
     ClassLoadsOutput {
@@ -526,16 +494,10 @@ pub fn ablation_sweep_traced(
     threads: usize,
     trace: &mut Trace,
 ) -> Vec<AblationRow> {
-    use proxbal_core::{ProximityParams, Underlay};
+    use proxbal_core::ProximityParams;
     use proxbal_hilbert::CurveKind;
 
-    let oracle = prepared.oracle.as_ref().expect("ablation needs a topology");
-    let underlay = Underlay {
-        oracle,
-        latency_oracle: prepared.latency_oracle.as_ref(),
-        landmarks: &prepared.landmarks,
-        approx: None,
-    };
+    let underlay = prepared.underlay().expect("ablation needs a topology");
 
     let base = BalancerConfig {
         mode: ProximityMode::Aware(ProximityParams::default()),
@@ -805,7 +767,7 @@ pub struct XlRunSummary {
     /// the VSA sweep (including shed/light extraction).
     pub vsa_wall_s: f64,
     /// Wall-clock seconds of phase 4: transfer execution, including
-    /// distance accounting/refinement.
+    /// exact distance accounting.
     pub transfer_wall_s: f64,
     /// Moved-load-vs-distance histogram (the Figure-7 curve).
     pub histogram: DistanceHistogram,
@@ -965,7 +927,7 @@ pub const XL2_SPLIT_DEPTH: u32 = 8;
 /// Unlike [`XlScaleOutput`] this carries a single (proximity-aware) run:
 /// at 1M peers × 5 virtual servers, cloning the overlay and load state for
 /// a second from-identical-state run would double the peak footprint, and
-/// the aware run is the one the approximate distance scheme exists for.
+/// the aware run is the one whose transfer distances the scale stresses.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Xl2ScaleOutput {
     /// Peers in the overlay.
@@ -978,21 +940,18 @@ pub struct Xl2ScaleOutput {
     pub oracle_capacity: usize,
     /// Preparation shards.
     pub shards: usize,
-    /// Exact-refinement budget (Dijkstra source rows per pass).
-    pub refine_sources: usize,
     /// Wall-clock seconds for sharded preparation (topology, overlay,
-    /// oracles, landmark vectors).
+    /// oracles).
     pub prepare_wall_s: f64,
     /// Wall-clock seconds for the sharded KT-tree build.
     pub tree_wall_s: f64,
-    /// Proximity-aware four-phase run with landmark-approximate transfer
-    /// distances.
+    /// Proximity-aware four-phase run with exact transfer distances.
     pub aware: XlRunSummary,
 }
 
 /// The xl2 pass: the [`ScenarioBuilder::xl2`](crate::ScenarioBuilder::xl2)
-/// preset (1,048,576 peers, sharded preparation, landmark-approximate
-/// transfer distances) through one proximity-aware four-phase run, executed
+/// preset (1,048,576 peers, sharded preparation, exact transfer distances)
+/// through one proximity-aware four-phase run, executed
 /// **in place** — no overlay/load clone — so the peak footprint stays within
 /// the xl budget.
 pub fn xl2_scale(seed: u64) -> Xl2ScaleOutput {
@@ -1051,21 +1010,6 @@ pub fn xl2_scale_run(
         tree.len()
     ));
 
-    // Field-level borrows: the underlay reads oracle/landmark state while
-    // the balancer mutates the (disjoint) overlay and load state in place.
-    let underlay = proxbal_core::Underlay {
-        oracle: prepared.oracle.as_ref().expect("xl2 runs over a topology"),
-        latency_oracle: prepared.latency_oracle.as_ref(),
-        landmarks: &prepared.landmarks,
-        approx: prepared
-            .hop_landmarks
-            .as_ref()
-            .map(|landmarks| proxbal_core::ApproxTransfer {
-                landmarks,
-                refine_sources: prepared.scenario.refine_sources,
-            }),
-    };
-
     let t = std::time::Instant::now();
     let mut child = Trace::new(trace.is_enabled(), "aware");
     let cfg = BalancerConfig {
@@ -1075,18 +1019,24 @@ pub fn xl2_scale_run(
     // Label 78 = aware, matching the xl / Figure-7 RNG stream naming.
     let mut rng = prepared.derived_rng(78);
     let mut walls = proxbal_core::RoundWalls::default();
+    // In place, no clone: the overlay and loads move out of `prepared` for
+    // the run because the underlay view borrows it.
+    let mut net = std::mem::take(&mut prepared.net);
+    let mut loads = std::mem::take(&mut prepared.loads);
     let report = LoadBalancer::new(cfg)
         .with_threads(threads)
         .run_with_tree_walls(
-            &mut prepared.net,
-            &mut prepared.loads,
+            &mut net,
+            &mut loads,
             &mut tree,
-            Some(underlay),
+            Some(prepared.underlay().expect("xl2 runs over a topology")),
             &mut rng,
             &mut child,
             &mut walls,
         )
         .expect("attached network");
+    prepared.net = net;
+    prepared.loads = loads;
     trace.absorb(child);
 
     let mut histogram = DistanceHistogram::new();
@@ -1128,7 +1078,6 @@ pub fn xl2_scale_run(
         virtual_servers: prepared.net.ring().len(),
         oracle_capacity: prepared.scenario.oracle_capacity,
         shards: prepared.scenario.shards,
-        refine_sources: prepared.scenario.refine_sources,
         prepare_wall_s,
         tree_wall_s,
         aware,
@@ -1226,12 +1175,10 @@ pub fn fault_sweep_run(
     use crate::faults::{FaultConfig, FaultPlan};
     use crate::protocol::ProtocolScratch;
     use proxbal_core::reports::{ignorant_inputs, light_slots, shed_candidates};
-    use proxbal_core::{
-        execute_transfers_with_requeue_traced, run_vsa_traced, Classification, VsaParams,
-    };
+    use proxbal_core::{execute_transfers_with_requeue, run_vsa_traced, Classification, VsaParams};
     use rand::SeedableRng;
 
-    let prepared = scenario.prepare();
+    let prepared = scenario.prepare_threads(threads);
     let oracle = prepared
         .oracle
         .as_ref()
@@ -1360,13 +1307,14 @@ pub fn fault_sweep_run(
             net.crash_peer(p);
         }
         trace.count("crashed_peers", victims.len() as u64);
-        let outcome = execute_transfers_with_requeue_traced(
+        let outcome = execute_transfers_with_requeue(
             &mut net,
             &mut loads,
             &vsa.assignments,
             None,
             &mut vsa.unassigned,
             system.min_vs_load,
+            prepared.threads,
             trace,
         )
         .expect("no oracle in the requeue pass");

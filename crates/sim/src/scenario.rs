@@ -1,8 +1,7 @@
 use proxbal_chord::ChordNetwork;
-use proxbal_core::{ApproxTransfer, BalancerConfig, LoadState, Underlay};
+use proxbal_core::{BalancerConfig, LoadState, Underlay};
 use proxbal_topology::{
-    select_landmarks, DistanceOracle, LandmarkOracle, NodeId, TransitStubConfig,
-    TransitStubTopology,
+    select_landmarks, DistanceOracle, NodeId, TransitStubConfig, TransitStubTopology,
 };
 use proxbal_workload::{CapacityProfile, LoadModel};
 use rand::rngs::StdRng;
@@ -25,22 +24,6 @@ pub enum TopologyKind {
     Tiny,
     /// No underlay (proximity-ignorant experiments only).
     None,
-}
-
-/// How transfer-phase distances are answered.
-///
-/// `Exact` runs a bucket-queue Dijkstra (memoized per row) for every query —
-/// the default, and what every pre-existing experiment uses. `Approximate`
-/// answers from precomputed landmark vectors (triangle-inequality bounds)
-/// and falls back to exact rows only for the candidate transfer pairs whose
-/// bounds do not pin the distance — the filter-then-refine scheme that makes
-/// the million-peer runs affordable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DistanceMode {
-    /// Exact shortest-path distances for every query.
-    Exact,
-    /// Landmark bounds first, exact refinement for uncertain pairs only.
-    Approximate,
 }
 
 /// Declarative description of one experiment, fully determined by `seed`.
@@ -76,15 +59,6 @@ pub struct Scenario {
     /// (`0` = unbounded). [`Scenario::prepare`] honors this directly:
     /// memory policy is part of the scenario, set once at build time.
     pub oracle_capacity: usize,
-    /// How transfer-phase distances are answered (see [`DistanceMode`]).
-    /// `Exact` (the default) reproduces every historical output
-    /// byte-for-byte; `Approximate` builds a hop-metric [`LandmarkOracle`]
-    /// during preparation and routes phase-4 distance queries through it.
-    pub distance_mode: DistanceMode,
-    /// With [`DistanceMode::Approximate`]: how many exact Dijkstra source
-    /// rows the refine step may spend per balancing pass on candidate
-    /// transfer pairs whose landmark bounds do not pin the distance.
-    pub refine_sources: usize,
     /// Number of preparation shards (`0` = the serial preparation path).
     /// With `shards > 0`, ring-position generation and landmark-vector
     /// construction are partitioned across this many independent workers
@@ -102,8 +76,8 @@ pub const XL_ORACLE_CAPACITY: usize = 4096;
 
 /// Oracle row-cache bound for the xl2 (million-peer) runs. Rows are
 /// delta-compressed, but at 1M peers the budget is the 65k run's footprint,
-/// so the cache is kept an order of magnitude smaller and the landmark
-/// oracle absorbs the bulk of the queries.
+/// so the cache is kept an order of magnitude smaller; transfer distances
+/// never need resident rows (they fall back to target-bounded sweeps).
 pub const XL2_ORACLE_CAPACITY: usize = 1024;
 
 impl Scenario {
@@ -248,15 +222,6 @@ impl Scenario {
             Some((a, b)) => (Some(a), Some(b)),
             None => (None, None),
         };
-        // Hop-metric landmark vectors back the approximate transfer
-        // distances; built after everything else so the exact path's RNG
-        // consumption (and therefore every historical output) is untouched.
-        let hop_landmarks = match (self.distance_mode, oracle.as_ref()) {
-            (DistanceMode::Approximate, Some(oracle)) if !landmarks.is_empty() => {
-                Some(LandmarkOracle::build(oracle, &landmarks, threads))
-            }
-            _ => None,
-        };
         Prepared {
             scenario: self.clone(),
             net,
@@ -265,7 +230,6 @@ impl Scenario {
             oracle,
             latency_oracle,
             landmarks,
-            hop_landmarks,
             rng,
             threads,
         }
@@ -309,8 +273,6 @@ impl ScenarioBuilder {
                 churn: None,
                 drift: None,
                 oracle_capacity: 0,
-                distance_mode: DistanceMode::Exact,
-                refine_sources: 4096,
                 shards: 0,
                 seed: 0,
             },
@@ -339,16 +301,13 @@ impl ScenarioBuilder {
 
     /// Rescales to the xl2 (million-peer) preset: 1,048,576 peers × 5
     /// virtual servers over the ~50k-node transit-stub underlay, prepared
-    /// across 8 shards with landmark-approximate transfer distances
-    /// ([`DistanceMode::Approximate`]) and the oracle cache bounded to
+    /// across 8 shards with the oracle cache bounded to
     /// [`XL2_ORACLE_CAPACITY`] rows. Sharding is always on for this preset,
     /// so the run is identical at any `--threads`.
     pub fn xl2(mut self) -> Self {
         self.scenario.peers = 1_048_576;
         self.scenario.topology = TopologyKind::Ts50k;
         self.scenario.oracle_capacity = XL2_ORACLE_CAPACITY;
-        self.scenario.distance_mode = DistanceMode::Approximate;
-        self.scenario.refine_sources = 4096;
         self.scenario.shards = 8;
         self
     }
@@ -419,19 +378,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// How transfer-phase distances are answered (see [`DistanceMode`]).
-    pub fn distance_mode(mut self, distance_mode: DistanceMode) -> Self {
-        self.scenario.distance_mode = distance_mode;
-        self
-    }
-
-    /// Exact-refinement budget for [`DistanceMode::Approximate`], in
-    /// Dijkstra source rows per balancing pass.
-    pub fn refine_sources(mut self, refine_sources: usize) -> Self {
-        self.scenario.refine_sources = refine_sources;
-        self
-    }
-
     /// Number of preparation shards (`0` = serial preparation).
     pub fn shards(mut self, shards: usize) -> Self {
         self.scenario.shards = shards;
@@ -466,10 +412,6 @@ pub struct Prepared {
     pub latency_oracle: Option<DistanceOracle>,
     /// Landmark nodes.
     pub landmarks: Vec<NodeId>,
-    /// Hop-metric landmark vectors for approximate transfer distances —
-    /// present exactly when the scenario asked for
-    /// [`DistanceMode::Approximate`] and has a topology.
-    pub hop_landmarks: Option<LandmarkOracle>,
     /// The scenario RNG, positioned after setup (use for the run itself).
     pub rng: StdRng,
     /// Worker-thread count the scenario was prepared with; runs over this
@@ -480,18 +422,16 @@ pub struct Prepared {
 
 impl Prepared {
     /// The [`Underlay`] view required by proximity-aware balancing, if this
-    /// scenario has a topology. Carries the approximate-distance scheme
-    /// whenever the scenario was prepared with
-    /// [`DistanceMode::Approximate`].
+    /// scenario has a topology.
+    ///
+    /// The view borrows the whole `Prepared`, so a run that mutates the
+    /// overlay while holding it first moves `net` and `loads` out
+    /// (`std::mem::take`) and puts them back afterwards.
     pub fn underlay(&self) -> Option<Underlay<'_>> {
         self.oracle.as_ref().map(|oracle| Underlay {
             oracle,
             latency_oracle: self.latency_oracle.as_ref(),
             landmarks: &self.landmarks,
-            approx: self.hop_landmarks.as_ref().map(|landmarks| ApproxTransfer {
-                landmarks,
-                refine_sources: self.scenario.refine_sources,
-            }),
         })
     }
 

@@ -12,9 +12,6 @@
 //!   thread count). The draws are replayed serially in peer order through
 //!   [`ChordNetwork::join_peer_at`]; the rare position collision falls back
 //!   to the master RNG, exactly like the serial path resamples.
-//! - **Landmark vectors** — per-shard node ranges of the hop-metric
-//!   landmark matrix are transposed in parallel and concatenated in shard
-//!   order ([`LandmarkOracle::from_parts`]).
 //! - **KT subtrees** — [`build_tree_sharded`] grows the top of the tree
 //!   serially ([`KTree::build_prefix`]), expands the frontier regions as
 //!   independent fragments in bounded batches, and grafts them back in
@@ -26,15 +23,12 @@
 //! `(scenario, shards)` and byte-identical at any `--threads`.
 
 use crate::parallel;
-use crate::scenario::{DistanceMode, Prepared, Scenario, TopologyKind};
+use crate::scenario::{Prepared, Scenario, TopologyKind};
 use proxbal_chord::ChordNetwork;
 use proxbal_core::LoadState;
 use proxbal_id::Id;
 use proxbal_ktree::KTree;
-use proxbal_topology::{
-    select_landmarks, DistanceOracle, LandmarkOracle, NodeId, TransitStubConfig,
-    TransitStubTopology,
-};
+use proxbal_topology::{select_landmarks, DistanceOracle, TransitStubConfig, TransitStubTopology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -54,8 +48,8 @@ pub fn prepare_sharded(scenario: &Scenario, threads: usize) -> Prepared {
 }
 
 /// [`prepare_sharded`] with per-phase heartbeat lines on `progress`
-/// (topology, position batches, join replay, attach/landmarks, loads,
-/// landmark vectors). Heartbeats never change the prepared result.
+/// (topology, position batches, join replay, attach/landmarks, loads).
+/// Heartbeats never change the prepared result.
 pub fn prepare_sharded_run(
     scenario: &Scenario,
     threads: usize,
@@ -164,14 +158,6 @@ pub fn prepare_sharded_run(
         Some((a, b)) => (Some(a), Some(b)),
         None => (None, None),
     };
-    let hop_landmarks = match (scenario.distance_mode, oracle.as_ref()) {
-        (DistanceMode::Approximate, Some(oracle)) if !landmarks.is_empty() => {
-            let lm = build_landmarks_sharded(oracle, &landmarks, shards, threads);
-            progress.event("prepare: hop-metric landmark vectors built");
-            Some(lm)
-        }
-        _ => None,
-    };
     Prepared {
         scenario: scenario.clone(),
         net,
@@ -180,44 +166,9 @@ pub fn prepare_sharded_run(
         oracle,
         latency_oracle,
         landmarks,
-        hop_landmarks,
         rng,
         threads,
     }
-}
-
-/// Builds the hop-metric [`LandmarkOracle`] by transposing per-shard node
-/// ranges of the landmark rows in parallel and concatenating the slices in
-/// shard order — the same matrix [`LandmarkOracle::build`] produces.
-pub fn build_landmarks_sharded(
-    oracle: &DistanceOracle,
-    landmarks: &[NodeId],
-    shards: usize,
-    threads: usize,
-) -> LandmarkOracle {
-    assert!(!landmarks.is_empty(), "need at least one landmark");
-    let shards = shards.max(1);
-    oracle.precompute(landmarks, threads);
-    let rows: Vec<_> = landmarks.iter().map(|&l| oracle.row(l)).collect();
-    let nodes = oracle.graph().node_count();
-    let m = landmarks.len();
-    let chunk = nodes.div_ceil(shards);
-    let slices = parallel::map_indexed(shards, threads, |s| {
-        let start = s * chunk;
-        let end = nodes.min(start + chunk);
-        let mut out = Vec::with_capacity((end - start) * m);
-        for node in start..end {
-            for row in &rows {
-                out.push(row.get(node));
-            }
-        }
-        out
-    });
-    let mut vectors = Vec::with_capacity(nodes * m);
-    for slice in slices {
-        vectors.extend(slice);
-    }
-    LandmarkOracle::from_parts(landmarks.to_vec(), nodes, vectors)
 }
 
 /// Builds the K-nary tree by growing the top `split_depth` levels serially

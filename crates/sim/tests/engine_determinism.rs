@@ -122,7 +122,6 @@ fn quiescent_single_epoch_matches_one_shot_round() {
             oracle,
             latency_oracle: prepared.latency_oracle.as_ref(),
             landmarks: &prepared.landmarks,
-            approx: None,
         });
     let one_shot = balancer
         .run_round(
@@ -269,13 +268,13 @@ fn builder_presets_are_deterministic_field_rewrites() {
     assert_eq!(xl.peers, 65_536);
     assert_eq!(xl.topology, TopologyKind::Ts50k);
     assert_eq!(xl.oracle_capacity, proxbal_sim::XL_ORACLE_CAPACITY);
-    assert_eq!(xl.distance_mode, default.distance_mode);
+    assert_eq!(xl.landmarks, default.landmarks);
     assert_eq!(xl.shards, 0);
     let xl2 = Scenario::builder().xl2().seed(9).build();
     assert_eq!(xl2.peers, 1_048_576);
     assert_eq!(xl2.topology, TopologyKind::Ts50k);
     assert_eq!(xl2.oracle_capacity, proxbal_sim::XL2_ORACLE_CAPACITY);
-    assert_eq!(xl2.distance_mode, proxbal_sim::DistanceMode::Approximate);
+    assert_eq!(xl2.vs_per_peer, default.vs_per_peer);
     assert_eq!(xl2.shards, 8);
     // The oracle_capacity knob flows through prepare(): bounded and
     // unbounded caches build the identical network and landmarks.

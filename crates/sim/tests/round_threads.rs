@@ -1,6 +1,6 @@
 //! The intra-round parallelism determinism contract: one balancing round
 //! with its hot loops (LBI generation, tree aggregation, classification,
-//! shed/light extraction, transfer refinement) running on N worker threads
+//! shed/light extraction, transfer-distance sweeps) running on N worker threads
 //! produces a **byte-identical** report and trace to the serial round.
 //! Parallel work is chunked by fixed compile-time sizes and merged in index
 //! order on the caller's thread, and every RNG draw stays serial — so the
@@ -38,7 +38,6 @@ fn one_round(seed: u64, threads: usize) -> (String, String, RoundWalls) {
         oracle: prepared.oracle.as_ref().expect("tiny topology present"),
         latency_oracle: prepared.latency_oracle.as_ref(),
         landmarks: &prepared.landmarks,
-        approx: None,
     };
     let mut tree = KTree::build(&prepared.net, cfg.k);
     let mut rng = prepared.derived_rng(0x51D);

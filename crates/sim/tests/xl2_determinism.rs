@@ -1,16 +1,18 @@
 //! The xl2 pipeline's determinism contract at a reduced scale: sharded
-//! preparation, the sharded KT-tree build and the landmark-approximate
-//! balancing pass are pure functions of the scenario — the worker-thread
+//! preparation, the sharded KT-tree build and the balancing pass with its
+//! exact transfer distances are pure functions of the scenario — the worker-thread
 //! count only bounds parallelism. The full-scale guarantee (`repro xl2`
 //! byte-identical at any `--threads`) is exactly this property at 1M peers.
 
+use proxbal_core::{BalancerConfig, LoadBalancer, ProximityMode, ProximityParams};
 use proxbal_sim::experiments::{xl2_scale_with, Xl2ScaleOutput, XL2_SPLIT_DEPTH};
+use proxbal_sim::metrics::DistanceHistogram;
 use proxbal_sim::shard::build_tree_sharded;
-use proxbal_sim::{DistanceMode, Scenario, TopologyKind};
+use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
 
 /// The xl2 preset scaled down ~1000×: same sharded machinery (8 shards,
-/// approximate distances, bounded caches), test-sized everything else.
+/// bounded caches), test-sized everything else.
 fn tiny_xl2(seed: u64) -> Scenario {
     Scenario::builder()
         .xl2()
@@ -18,7 +20,6 @@ fn tiny_xl2(seed: u64) -> Scenario {
         .topology(TopologyKind::Tiny)
         .landmarks(4)
         .oracle_capacity(16)
-        .refine_sources(32)
         .seed(seed)
         .build()
 }
@@ -70,13 +71,8 @@ fn sharded_prepare_is_thread_count_invariant() {
         assert_eq!(vs_a, vs_b);
     }
     assert_eq!(a.landmarks, b.landmarks);
-    let (la, lb) = (
-        a.hop_landmarks.as_ref().expect("approximate mode"),
-        b.hop_landmarks.as_ref().expect("approximate mode"),
-    );
-    assert_eq!(la.nodes(), lb.nodes());
-    for node in 0..la.nodes() as u32 {
-        assert_eq!(la.vector(node), lb.vector(node));
+    for p in a.net.alive_peers() {
+        assert_eq!(a.net.peer(p).underlay, b.net.peer(p).underlay);
     }
 }
 
@@ -102,10 +98,7 @@ fn sharded_tree_matches_serial_build_shape() {
 }
 
 #[test]
-fn approximate_mode_still_resolves_heavy_peers() {
-    // The scheme trades distance exactness for scale, never correctness of
-    // the balancing itself: the approximate run must shed heavy peers just
-    // like an exact run does.
+fn xl2_pass_records_exact_distances_and_resolves_heavy_peers() {
     let out = xl2_scale_with(tiny_xl2(11), 2, &mut Trace::disabled());
     assert!(out.aware.heavy_before > 0);
     assert!(
@@ -115,11 +108,37 @@ fn approximate_mode_still_resolves_heavy_peers() {
         out.aware.heavy_after
     );
     assert!(out.aware.transfers > 0);
-    // Exact mode from the same scenario differs only in distance_mode; its
-    // transfer count and heavy resolution are in the same regime.
-    let mut exact = tiny_xl2(11);
-    exact.distance_mode = DistanceMode::Exact;
-    let exact_out = xl2_scale_with(exact, 2, &mut Trace::disabled());
-    assert_eq!(out.aware.heavy_before, exact_out.aware.heavy_before);
-    assert!(exact_out.aware.transfers > 0);
+
+    // The same pass through the public API, so every transfer's recorded
+    // distance can be checked against the reference Dijkstra.
+    let mut prepared = tiny_xl2(11).prepare_threads(2);
+    let mut tree = build_tree_sharded(&prepared.net, 2, XL2_SPLIT_DEPTH, 2);
+    let mut net = std::mem::take(&mut prepared.net);
+    let mut loads = std::mem::take(&mut prepared.loads);
+    let cfg = BalancerConfig {
+        mode: ProximityMode::Aware(ProximityParams::default()),
+        ..prepared.scenario.balancer
+    };
+    let mut rng = prepared.derived_rng(78);
+    let report = LoadBalancer::new(cfg)
+        .with_threads(2)
+        .run_with_tree(
+            &mut net,
+            &mut loads,
+            &mut tree,
+            prepared.underlay(),
+            &mut rng,
+        )
+        .expect("attached network");
+    assert_eq!(report.transfers.len(), out.aware.transfers);
+    let graph = prepared.oracle.as_ref().expect("topology").graph();
+    let mut histogram = DistanceHistogram::new();
+    for t in &report.transfers {
+        let from = net.peer(t.assignment.from).underlay;
+        let to = net.peer(t.assignment.to).underlay;
+        let exact = graph.dijkstra_reference(from)[to as usize];
+        assert_eq!(t.distance, Some(exact), "transfer {from} -> {to}");
+        histogram.add(exact, t.assignment.load);
+    }
+    assert_eq!(histogram.cdf(), out.aware.histogram.cdf());
 }

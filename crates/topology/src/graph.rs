@@ -29,20 +29,24 @@ pub struct Graph {
     max_weight: u32,
 }
 
-/// Reusable working memory for [`Graph::dijkstra_into`].
+/// Reusable working memory for [`Graph::dijkstra_into`] and
+/// [`Graph::distances_to`].
 ///
 /// Holds the distance array, the touched-node list used to reset it in
-/// O(|reached|), and both priority-queue variants (circular buckets for
-/// small integer weights, binary heap otherwise). Reusing one scratch
-/// across calls makes repeated single-source runs allocation-free; the
-/// scratch adapts automatically when used against graphs of different
-/// sizes.
+/// O(|reached|), both priority-queue variants (circular buckets for
+/// small integer weights, binary heap otherwise) and the target marks of
+/// bounded sweeps. Reusing one scratch across calls makes repeated
+/// single-source runs allocation-free; the scratch adapts automatically
+/// when used against graphs of different sizes.
 #[derive(Clone, Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<u32>,
     touched: Vec<NodeId>,
     buckets: Vec<Vec<NodeId>>,
     heap: BinaryHeap<Reverse<(u32, NodeId)>>,
+    /// `mark[v] == epoch` iff `v` is a target of the current bounded sweep.
+    mark: Vec<u32>,
+    epoch: u32,
 }
 
 impl DijkstraScratch {
@@ -130,6 +134,52 @@ impl Graph {
     /// instead of the O(E log V) binary heap, which remains as the fallback
     /// for large weights.
     pub fn dijkstra_into<'a>(&self, src: NodeId, scratch: &'a mut DijkstraScratch) -> &'a [u32] {
+        self.sweep(src, scratch, 0);
+        &scratch.dist
+    }
+
+    /// Shortest-path distances from `src` to each of `targets`, in target
+    /// order ([`INFINITE_DISTANCE`] for unreachable ones).
+    ///
+    /// The same bucket/heap sweep as [`Graph::dijkstra_into`], stopped as
+    /// soon as every distinct target is settled: a node's distance is final
+    /// once it leaves the queue, so the answer is exact while the sweep
+    /// only visits the ball around `src` that reaches the farthest target.
+    /// Duplicate targets and `src` itself are allowed.
+    pub fn distances_to(
+        &self,
+        src: NodeId,
+        targets: &[NodeId],
+        scratch: &mut DijkstraScratch,
+    ) -> Vec<u32> {
+        if targets.is_empty() {
+            return Vec::new();
+        }
+        let n = self.adj.len();
+        if scratch.mark.len() != n {
+            scratch.mark.clear();
+            scratch.mark.resize(n, 0);
+        }
+        scratch.epoch = scratch.epoch.wrapping_add(1);
+        if scratch.epoch == 0 {
+            scratch.mark.fill(0);
+            scratch.epoch = 1;
+        }
+        let mut distinct = 0;
+        for &t in targets {
+            let mark = &mut scratch.mark[t as usize];
+            if *mark != scratch.epoch {
+                *mark = scratch.epoch;
+                distinct += 1;
+            }
+        }
+        self.sweep(src, scratch, distinct);
+        targets.iter().map(|&t| scratch.dist[t as usize]).collect()
+    }
+
+    /// Resets `scratch` and runs the sweep from `src`; with `targets > 0`
+    /// it stops once that many marked nodes are settled.
+    fn sweep(&self, src: NodeId, scratch: &mut DijkstraScratch, targets: usize) {
         let n = self.adj.len();
         assert!((src as usize) < n, "source out of range");
         if scratch.dist.len() != n {
@@ -142,18 +192,19 @@ impl Graph {
         }
         scratch.touched.clear();
         if self.max_weight > 0 && self.max_weight <= MAX_BUCKET_WEIGHT {
-            self.dijkstra_buckets(src, scratch);
+            self.dijkstra_buckets(src, scratch, targets);
         } else {
-            self.dijkstra_heap(src, scratch);
+            self.dijkstra_heap(src, scratch, targets);
         }
-        &scratch.dist
     }
 
     /// Dial's algorithm: a circular array of `max_weight + 1` buckets
     /// indexed by distance modulo the ring size. Every tentative distance
     /// in flight lies within `max_weight` of the current sweep distance,
     /// so the ring never aliases two live distance values to one slot.
-    fn dijkstra_buckets(&self, src: NodeId, scratch: &mut DijkstraScratch) {
+    /// Each node leaves the ring with its final distance exactly once,
+    /// which is when a marked target counts as settled.
+    fn dijkstra_buckets(&self, src: NodeId, scratch: &mut DijkstraScratch, mut targets: usize) {
         let ring = self.max_weight as usize + 1;
         if scratch.buckets.len() < ring {
             scratch.buckets.resize_with(ring, Vec::new);
@@ -164,12 +215,21 @@ impl Graph {
         scratch.buckets[0].push(src);
         let mut pending = 1usize;
         let mut d = 0u32;
-        while pending > 0 {
+        'sweep: while pending > 0 {
             let slot = d as usize % ring;
             while let Some(u) = scratch.buckets[slot].pop() {
                 pending -= 1;
                 if dist[u as usize] != d {
                     continue; // superseded entry
+                }
+                if targets > 0 && scratch.mark[u as usize] == scratch.epoch {
+                    targets -= 1;
+                    if targets == 0 {
+                        for bucket in &mut scratch.buckets {
+                            bucket.clear();
+                        }
+                        break 'sweep;
+                    }
                 }
                 for &(v, w) in &self.adj[u as usize] {
                     let nd = d + w;
@@ -190,7 +250,7 @@ impl Graph {
 
     /// Binary-heap Dijkstra over the scratch buffers (fallback for graphs
     /// whose weights are too large for the bucket ring).
-    fn dijkstra_heap(&self, src: NodeId, scratch: &mut DijkstraScratch) {
+    fn dijkstra_heap(&self, src: NodeId, scratch: &mut DijkstraScratch, mut targets: usize) {
         let dist = &mut scratch.dist;
         scratch.heap.clear();
         dist[src as usize] = 0;
@@ -199,6 +259,12 @@ impl Graph {
         while let Some(Reverse((d, u))) = scratch.heap.pop() {
             if d > dist[u as usize] {
                 continue;
+            }
+            if targets > 0 && scratch.mark[u as usize] == scratch.epoch {
+                targets -= 1;
+                if targets == 0 {
+                    return;
+                }
             }
             for &(v, w) in &self.adj[u as usize] {
                 let nd = d + w;

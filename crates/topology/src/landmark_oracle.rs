@@ -14,12 +14,12 @@
 //! so the maximum of the left-hand sides over all landmarks is a lower
 //! bound and the minimum of the right-hand sides an upper bound. When the
 //! two meet the distance is known exactly without any per-pair Dijkstra;
-//! when they don't, the caller decides whether the gap matters (the
-//! transfer path refines the highest-traffic sources exactly and keeps the
-//! upper bound for the tail — see `proxbal_core`'s filter-then-refine).
+//! when they don't, only an interval is known. Transfer costs are always
+//! exact ([`DistanceOracle::pair_distances`]); the bounds serve analysis
+//! and benchmarks that measure how far an estimate is from the truth.
 
 use crate::graph::{NodeId, INFINITE_DISTANCE};
-use crate::oracle::{DistanceOracle, DistanceQuery};
+use crate::oracle::DistanceOracle;
 
 /// Precomputed landmark vectors for every node of a graph, answering
 /// approximate distance queries in O(landmarks) time and `4·m` bytes per
@@ -34,7 +34,6 @@ pub struct LandmarkOracle {
     landmarks: Vec<NodeId>,
     /// Node-major distance matrix: `vectors[node · m + j] = d(node, landmarks[j])`.
     vectors: Vec<u32>,
-    nodes: usize,
 }
 
 impl LandmarkOracle {
@@ -56,20 +55,6 @@ impl LandmarkOracle {
         LandmarkOracle {
             landmarks: landmarks.to_vec(),
             vectors,
-            nodes,
-        }
-    }
-
-    /// Assembles an oracle from externally computed node-major vectors
-    /// (the sharded preparation path builds per-shard slices in parallel
-    /// and concatenates them in shard order).
-    pub fn from_parts(landmarks: Vec<NodeId>, nodes: usize, vectors: Vec<u32>) -> Self {
-        assert!(!landmarks.is_empty(), "need at least one landmark");
-        assert_eq!(vectors.len(), nodes * landmarks.len());
-        LandmarkOracle {
-            landmarks,
-            vectors,
-            nodes,
         }
     }
 
@@ -78,14 +63,9 @@ impl LandmarkOracle {
         &self.landmarks
     }
 
-    /// Number of nodes covered.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// The landmark vector of `node`.
     #[inline]
-    pub fn vector(&self, node: NodeId) -> &[u32] {
+    fn vector(&self, node: NodeId) -> &[u32] {
         let m = self.landmarks.len();
         let at = node as usize * m;
         &self.vectors[at..at + m]
@@ -120,8 +100,7 @@ impl LandmarkOracle {
         (lower, upper)
     }
 
-    /// The upper-bound estimate `min_ℓ d(a, ℓ) + d(ℓ, b)` — the value the
-    /// approximate oracle reports where no exact refinement happened.
+    /// The upper-bound estimate `min_ℓ d(a, ℓ) + d(ℓ, b)`.
     #[inline]
     pub fn estimate(&self, a: NodeId, b: NodeId) -> u32 {
         self.bounds(a, b).1
@@ -130,11 +109,5 @@ impl LandmarkOracle {
     /// Bytes of vector storage (the whole oracle is resident by design).
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.vectors.capacity() * 4 + self.landmarks.capacity() * 4
-    }
-}
-
-impl DistanceQuery for LandmarkOracle {
-    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        self.estimate(u, v)
     }
 }

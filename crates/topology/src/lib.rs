@@ -17,10 +17,10 @@
 //! * [`DistanceOracle`] — caching multi-source shortest-path oracle used to
 //!   derive landmark vectors and per-transfer hop costs. Rows are stored
 //!   block-compressed ([`CompactRow`]) so bounded caches hold several times
-//!   more rows per byte.
-//! * [`LandmarkOracle`] — the hierarchical approximate tier: O(m) triangle-
-//!   inequality distance bounds from precomputed landmark vectors, behind
-//!   the same [`DistanceQuery`] trait as the exact oracle.
+//!   more rows per byte; batches of transfer pairs are answered exactly by
+//!   target-bounded sweeps ([`DistanceOracle::pair_distances`]).
+//! * [`LandmarkOracle`] — O(m) triangle-inequality distance bounds from
+//!   precomputed landmark vectors.
 
 mod graph;
 mod landmark_oracle;
@@ -31,7 +31,7 @@ mod transit_stub;
 pub use graph::{DijkstraScratch, Graph, NodeId, INFINITE_DISTANCE};
 pub use landmark_oracle::LandmarkOracle;
 pub use landmarks::select_landmarks;
-pub use oracle::{CacheStats, CompactRow, DistanceOracle, DistanceQuery};
+pub use oracle::{CacheStats, CompactRow, DistanceOracle};
 pub use transit_stub::{DomainKind, TransitStubConfig, TransitStubTopology};
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-use crate::graph::{DijkstraScratch, Graph, NodeId};
+use crate::graph::{DijkstraScratch, Graph, NodeId, INFINITE_DISTANCE};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -131,17 +131,6 @@ impl CompactRow {
     }
 }
 
-/// Distance queries answered the same way by the exact and the approximate
-/// oracle: the filter-then-refine transfer path is generic over this, and
-/// swapping one implementation for the other is what `distance_mode`
-/// selects.
-pub trait DistanceQuery {
-    /// A distance estimate for the pair `(u, v)`. Exact implementations
-    /// return the true shortest-path distance; approximate ones an upper
-    /// bound.
-    fn distance(&self, u: NodeId, v: NodeId) -> u32;
-}
-
 thread_local! {
     /// Per-thread Dijkstra working memory: row fills from any oracle on
     /// this thread reuse one scratch, so steady-state row computation
@@ -164,6 +153,8 @@ const PIN_BIT: u8 = 2;
 /// [`DistanceOracle::precompute`]. Point queries exploit symmetry: the
 /// graph is undirected, so [`DistanceOracle::distance`] answers from
 /// whichever endpoint's row is already cached before computing a new one.
+/// Batches of pairs ([`DistanceOracle::pair_distances`]) go further and
+/// answer uncached pairs by target-bounded sweeps that store no row.
 ///
 /// # Bounded memory
 ///
@@ -385,6 +376,89 @@ impl DistanceOracle {
         self.row(u).get(v as usize)
     }
 
+    /// Exact shortest-path distance of every `(u, v)` pair, in pair order.
+    ///
+    /// A pair is read from a resident row of either endpoint when there is
+    /// one (the graph is undirected). The other pairs are grouped by
+    /// whichever endpoint side has fewer distinct nodes, and each node of
+    /// that side gets one target-bounded sweep ([`Graph::distances_to`])
+    /// that stops once all of its partners are settled. Sweeps insert no
+    /// row, so a batch never evicts and explores only the balls its pairs
+    /// need. Each sweep is a pure job run on up to `threads` workers, so
+    /// the result is identical at any thread count (and at any cache
+    /// capacity).
+    pub fn pair_distances(&self, pairs: &[(NodeId, NodeId)], threads: usize) -> Vec<u32> {
+        let mut out = vec![INFINITE_DISTANCE; pairs.len()];
+        let mut pending: Vec<usize> = Vec::new();
+        for (i, &(u, v)) in pairs.iter().enumerate() {
+            out[i] = if u == v {
+                0
+            } else if let Some(row) = self.cached(u) {
+                row.get(v as usize)
+            } else if let Some(row) = self.cached(v) {
+                row.get(u as usize)
+            } else {
+                pending.push(i);
+                continue;
+            };
+        }
+        if pending.is_empty() {
+            return out;
+        }
+        let distinct = |side: fn(&(NodeId, NodeId)) -> NodeId| {
+            let mut nodes: Vec<NodeId> = pending.iter().map(|&i| side(&pairs[i])).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            nodes.len()
+        };
+        let from_v = distinct(|p| p.1) <= distinct(|p| p.0);
+        // (sweep source, target, pair index), grouped by source.
+        let mut jobs: Vec<(NodeId, NodeId, usize)> = pending
+            .iter()
+            .map(|&i| {
+                let (u, v) = pairs[i];
+                if from_v {
+                    (v, u, i)
+                } else {
+                    (u, v, i)
+                }
+            })
+            .collect();
+        jobs.sort_unstable();
+        let groups: Vec<&[(NodeId, NodeId, usize)]> = jobs.chunk_by(|a, b| a.0 == b.0).collect();
+        // Workers (the caller among them) claim sources from a shared
+        // cursor. Each sweep fills only its own pairs' slots, so the claim
+        // order cannot change the output.
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let mut swept = Vec::new();
+            while let Some(group) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let targets: Vec<NodeId> = group.iter().map(|&(_, t, _)| t).collect();
+                let dists = SCRATCH.with(|scratch| {
+                    self.graph
+                        .distances_to(group[0].0, &targets, &mut scratch.borrow_mut())
+                });
+                swept.extend(group.iter().map(|&(_, _, i)| i).zip(dists));
+            }
+            swept
+        };
+        let threads = threads.max(1).min(groups.len());
+        let swept: Vec<Vec<(usize, u32)>> = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
+            let mut swept = vec![worker()];
+            swept.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("distance sweep worker panicked")),
+            );
+            swept
+        });
+        for (i, d) in swept.into_iter().flatten() {
+            out[i] = d;
+        }
+        out
+    }
+
     /// Landmark vector of `node`: distances to each of `landmarks`, in order.
     pub fn landmark_vector(&self, node: NodeId, landmarks: &[NodeId]) -> Vec<u32> {
         // Dijkstra from each landmark (few sources) rather than from every
@@ -457,11 +531,5 @@ impl DistanceOracle {
             computes: self.computes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl DistanceQuery for DistanceOracle {
-    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        DistanceOracle::distance(self, u, v)
     }
 }

@@ -338,6 +338,57 @@ proptest! {
     }
 
     #[test]
+    fn prop_bounded_sweeps_match_reference(seed in 0u64..120) {
+        // Target-bounded sweeps and the pair batch built on them return
+        // exactly the reference distances: bucket- and heap-range weights,
+        // disconnected graphs (unreachable targets), duplicate targets, the
+        // source among its own targets, and half the rows resident
+        // beforehand so both answer paths run.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rand::Rng::gen_range(&mut rng, 2usize..70);
+        let max_w = if seed % 2 == 0 { 3 } else { 20_000 };
+        let mut g = Graph::new(n);
+        for _ in 0..rand::Rng::gen_range(&mut rng, 0..2 * n) {
+            let u = rand::Rng::gen_range(&mut rng, 0..n as NodeId);
+            let v = rand::Rng::gen_range(&mut rng, 0..n as NodeId);
+            if u != v {
+                g.add_edge(u, v, rand::Rng::gen_range(&mut rng, 1..=max_w));
+            }
+        }
+        let reference: Vec<Vec<u32>> = (0..n as NodeId).map(|u| g.dijkstra_reference(u)).collect();
+        let node = |rng: &mut StdRng| rand::Rng::gen_range(rng, 0..n as NodeId);
+
+        let mut scratch = DijkstraScratch::new();
+        for _ in 0..8 {
+            let src = node(&mut rng);
+            let mut targets: Vec<NodeId> = (0..rand::Rng::gen_range(&mut rng, 1..6))
+                .map(|_| node(&mut rng))
+                .collect();
+            targets.push(targets[0]);
+            if rand::Rng::gen_bool(&mut rng, 0.5) {
+                targets.push(src);
+            }
+            let expected: Vec<u32> = targets.iter().map(|&t| reference[src as usize][t as usize]).collect();
+            // The scratch is reused across sweeps, so stale marks, queue
+            // entries and distances must not leak into the next one.
+            prop_assert_eq!(g.distances_to(src, &targets, &mut scratch), expected);
+            prop_assert_eq!(g.dijkstra_into(src, &mut scratch), &reference[src as usize][..]);
+        }
+
+        let graph = StdArc::new(g);
+        let resident: Vec<NodeId> = (0..n as NodeId).filter(|_| rand::Rng::gen_bool(&mut rng, 0.5)).collect();
+        let pairs: Vec<(NodeId, NodeId)> = (0..40).map(|_| (node(&mut rng), node(&mut rng))).collect();
+        let expected: Vec<u32> = pairs.iter().map(|&(u, v)| reference[u as usize][v as usize]).collect();
+        for (capacity, threads) in [(0, 1), (0, 3), (4, 2)] {
+            let oracle = DistanceOracle::with_capacity(StdArc::clone(&graph), capacity);
+            oracle.precompute(&resident, 1);
+            let rows = oracle.cached_rows();
+            prop_assert_eq!(oracle.pair_distances(&pairs, threads), expected.clone());
+            prop_assert_eq!(oracle.cached_rows(), rows, "sweeps must not insert rows");
+        }
+    }
+
+    #[test]
     fn prop_precompute_threads_match_sequential(seed in 0u64..50) {
         // Batched multi-source precompute fills exactly the same rows
         // regardless of thread count.
@@ -383,8 +434,8 @@ proptest! {
     #[test]
     fn prop_landmark_bounds_bracket_exact_distance(seed in 0u64..50) {
         // The LandmarkOracle's triangle-inequality bounds must always
-        // bracket the exact shortest-path distance, and the approximate
-        // DistanceQuery answer (the upper bound) must never undershoot.
+        // bracket the exact shortest-path distance, and the estimate (the
+        // upper bound) must never undershoot.
         let topo = small_topo(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let lms = select_landmarks(&topo, 6, &mut rng);
@@ -397,7 +448,7 @@ proptest! {
                 let (lo, hi) = lm.bounds(u, v);
                 prop_assert!(lo <= exact, "lower {lo} > exact {exact} for ({u},{v})");
                 prop_assert!(exact <= hi, "upper {hi} < exact {exact} for ({u},{v})");
-                prop_assert!(DistanceQuery::distance(&lm, u, v) >= exact);
+                prop_assert!(lm.estimate(u, v) >= exact);
             }
         }
         // A landmark's own distances are recovered exactly.
@@ -453,29 +504,6 @@ fn oracle_accounts_resident_bytes() {
     }
     let bound = 3 * (oracle.capacity() + 1) * r0;
     assert!(oracle.resident_bytes() <= bound);
-}
-
-#[test]
-fn landmark_oracle_from_parts_matches_build() {
-    let topo = small_topo(13);
-    let mut rng = StdRng::seed_from_u64(13);
-    let lms = select_landmarks(&topo, 5, &mut rng);
-    let oracle = DistanceOracle::new(StdArc::new(topo.graph.clone()));
-    let built = LandmarkOracle::build(&oracle, &lms, 1);
-    // Reassemble node-major vectors by hand (what the sharded prepare does
-    // per shard) and check the two oracles agree everywhere.
-    let n = topo.node_count();
-    let mut vectors = Vec::with_capacity(n * lms.len());
-    for node in 0..n as NodeId {
-        vectors.extend(oracle.landmark_vector(node, &lms));
-    }
-    let parts = LandmarkOracle::from_parts(lms.clone(), n, vectors);
-    for u in (0..n as NodeId).step_by(17) {
-        for v in (0..n as NodeId).step_by(13) {
-            assert_eq!(built.bounds(u, v), parts.bounds(u, v));
-        }
-    }
-    assert_eq!(built.landmarks(), parts.landmarks());
 }
 
 #[test]

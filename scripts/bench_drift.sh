@@ -69,7 +69,7 @@ entry = doc.get("xl2")
 if entry is None:
     sys.exit("BENCH_repro.json: missing the xl2 (million-peer) entry")
 required = ("seed", "peers", "underlay_nodes", "virtual_servers",
-            "oracle_capacity", "shards", "refine_sources", "lbi_messages",
+            "oracle_capacity", "shards", "lbi_messages",
             "vsa_record_hops", "aware_frac2", "aware_frac10", "heavy_after",
             "alloc_count", "alloc_bytes", "peak_alloc_bytes")
 missing = [k for k in required if k not in entry]

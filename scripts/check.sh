@@ -32,7 +32,7 @@
 # at 1 and 8 threads and fails unless stdout (walls scrubbed) and both
 # trace files are byte-identical — the determinism contract of the
 # intra-round parallel sections (LBI generation, aggregation,
-# classification, shed/light extraction, transfer refinement).
+# classification, shed/light extraction, transfer-distance sweeps).
 #
 # --analyze-smoke additionally runs the committed engine scenario once,
 # evaluates the committed behavioral gates (`gates/*.toml`) against its
@@ -107,8 +107,8 @@ diff <(grep -v -e "wall" -e "^wrote " "$SMOKE_DIR/trace1.txt") \
 if [[ "$XL_SMOKE" == "1" ]]; then
   echo "==> xl smoke: repro --scale xl --fig 7"
   timeout 1800 ./target/release/repro --scale xl --fig 7
-  # xl2 at reduced peers: the full sharded + landmark-approximate pipeline,
-  # byte-identical across thread counts. A --peers override never writes a
+  # xl2 at reduced peers: the full sharded pipeline with exact transfer
+  # distances, byte-identical across thread counts. A --peers override never writes a
   # BENCH entry, so stdout is the whole contract (minus walls and RSS).
   echo "==> xl2 smoke: repro xl2 --peers 65536 (threads 1 vs 8)"
   (cd "$SMOKE_DIR" && timeout 1800 "$REPRO" xl2 --peers 65536 --threads 1 > xl2_t1.txt \

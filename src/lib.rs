@@ -21,7 +21,9 @@
 //! * [`sim`] — scenarios (via [`sim::ScenarioBuilder`]), metrics, a
 //!   discrete-event engine, churn, the continuous-operation engine
 //!   ([`sim::run_engine`]) and the drivers regenerating every figure of
-//!   the paper.
+//!   the paper;
+//! * [`trace`] — the deterministic virtual-time trace collector the
+//!   traced entry points record into.
 //!
 //! This facade crate re-exports the workspace so `use proxbal::…` works
 //! from examples and downstream code.
@@ -64,4 +66,5 @@ pub use proxbal_id as id;
 pub use proxbal_ktree as ktree;
 pub use proxbal_sim as sim;
 pub use proxbal_topology as topology;
+pub use proxbal_trace as trace;
 pub use proxbal_workload as workload;

@@ -177,8 +177,15 @@ fn stale_assignments_are_skipped_when_peers_crash_between_vsa_and_vst() {
     net.crash_peer(crash_src);
     net.crash_peer(crash_dst);
 
-    let records =
-        proxbal::core::execute_transfers(&mut net, &mut loads, &assignments, None).unwrap();
+    let records = proxbal::core::execute_transfers(
+        &mut net,
+        &mut loads,
+        &assignments,
+        None,
+        1,
+        &mut proxbal::trace::Trace::disabled(),
+    )
+    .unwrap();
     net.check_invariants().unwrap();
     for r in &records {
         assert_ne!(r.assignment.from, crash_src);
