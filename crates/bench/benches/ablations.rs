@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proxbal_core::{BalancerConfig, LoadBalancer, ProximityMode, ProximityParams};
 use proxbal_sim::{Prepared, Scenario, TopologyKind};
+use proxbal_trace::Trace;
 
 fn prepared() -> Prepared {
     let mut scenario = Scenario::builder().small().seed(17).build();
@@ -22,7 +23,13 @@ fn run_with(prepared: &Prepared, cfg: BalancerConfig) -> proxbal_core::BalanceRe
     let mut rng = prepared.derived_rng(1717);
     let underlay = prepared.underlay();
     balancer
-        .run(&mut net, &mut loads, underlay, &mut rng)
+        .run(
+            &mut net,
+            &mut loads,
+            underlay,
+            &mut rng,
+            &mut Trace::disabled(),
+        )
         .expect("attached network")
 }
 

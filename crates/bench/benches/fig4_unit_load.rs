@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proxbal_core::LoadBalancer;
 use proxbal_sim::{Scenario, TopologyKind};
+use proxbal_trace::Trace;
 
 fn bench_fig4(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_balance_run");
@@ -23,7 +24,7 @@ fn bench_fig4(c: &mut Criterion) {
                 let mut rng = prepared.derived_rng(4);
                 std::hint::black_box(
                     balancer
-                        .run(&mut net, &mut loads, None, &mut rng)
+                        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
                         .expect("attached network"),
                 )
             });

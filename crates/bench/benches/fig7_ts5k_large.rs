@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use proxbal_core::{BalancerConfig, LoadBalancer, ProximityMode, ProximityParams};
 use proxbal_sim::{Scenario, TopologyKind};
+use proxbal_trace::Trace;
 
 fn bench_modes(c: &mut Criterion) {
     let mut scenario = Scenario::builder().small().seed(11).build();
@@ -16,7 +17,7 @@ fn bench_modes(c: &mut Criterion) {
     let prepared = scenario.prepare();
     let underlay = prepared.underlay().unwrap();
     // Warm the oracle so both modes see the same cache state.
-    let _ = proxbal_sim::experiments::fig78_moved_load(&prepared);
+    let _ = proxbal_sim::experiments::fig78_moved_load(&prepared, &mut Trace::disabled());
 
     let mut group = c.benchmark_group("fig7_modes_ts5k_large");
     group.sample_size(10);
@@ -35,7 +36,13 @@ fn bench_modes(c: &mut Criterion) {
                 let mut rng = prepared.derived_rng(7);
                 std::hint::black_box(
                     balancer
-                        .run(&mut net, &mut loads, Some(underlay), &mut rng)
+                        .run(
+                            &mut net,
+                            &mut loads,
+                            Some(underlay),
+                            &mut rng,
+                            &mut Trace::disabled(),
+                        )
                         .expect("attached network"),
                 )
             });

@@ -10,9 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use proxbal_core::reports::{light_slots_with, shed_candidates_with};
 use proxbal_core::{
     BalancerConfig, Classification, ClassifyParams, LoadBalancer, ProximityMode, ProximityParams,
-    RoundWalls,
 };
-use proxbal_ktree::KTree;
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
 
@@ -81,19 +79,15 @@ fn bench_round_kernels(c: &mut Criterion) {
             mode: ProximityMode::Aware(ProximityParams::default()),
             ..prepared.scenario.balancer
         };
-        let mut tree = KTree::build(&net, cfg.k);
         let mut rng = prepared.derived_rng(78);
-        let mut walls = RoundWalls::default();
         LoadBalancer::new(cfg)
             .with_threads(threads)
-            .run_with_tree_walls(
+            .run(
                 &mut net,
                 &mut loads,
-                &mut tree,
                 Some(underlay),
                 &mut rng,
                 &mut Trace::disabled(),
-                &mut walls,
             )
             .expect("attached network")
     };

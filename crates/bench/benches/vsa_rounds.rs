@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proxbal_core::{ClassifyParams, Lbi};
 use proxbal_ktree::KTree;
 use proxbal_sim::{Scenario, TopologyKind};
+use proxbal_trace::Trace;
 use std::collections::HashMap;
 
 fn bench_phases(c: &mut Criterion) {
@@ -47,7 +48,12 @@ fn bench_phases(c: &mut Criterion) {
                 let inputs =
                     proxbal_core::reports::ignorant_inputs(net, &tree, &shed, &light, &mut rng);
                 let vsa_params = proxbal_core::VsaParams::paper(system.min_vs_load);
-                std::hint::black_box(proxbal_core::run_vsa(&tree, inputs, &vsa_params))
+                std::hint::black_box(proxbal_core::run_vsa(
+                    &tree,
+                    inputs,
+                    &vsa_params,
+                    &mut Trace::disabled(),
+                ))
             });
         });
     }

@@ -69,10 +69,10 @@
 
 use proxbal_bench::headline;
 use proxbal_core::NodeClass;
-use proxbal_profile::{AllocSnapshot, CountingAlloc, NullSink, ProgressSink, StderrSink};
+use proxbal_profile::{AllocSnapshot, CountingAlloc, StderrSink};
 use proxbal_sim::experiments::{
-    ablation_sweep_traced, fig4_unit_load_traced, fig56_class_loads_traced,
-    fig78_replicated_traced, repair_after_crash_traced, rounds_scaling_traced, scheme_comparison,
+    ablation_sweep, fig4_unit_load, fig56_class_loads, fig78_replicated, repair_after_crash,
+    rounds_scaling, scheme_comparison,
 };
 use proxbal_sim::metrics::{gini, Summary};
 use proxbal_sim::{Scenario, TopologyKind};
@@ -250,7 +250,7 @@ fn parse_args() -> Args {
         scale: Scale::Full,
         seed: 1,
         json: None,
-        threads: proxbal_sim::parallel::default_threads(),
+        threads: proxbal_parallel::default_threads(),
         timing: false,
         faults: None,
         trace: None,
@@ -458,7 +458,7 @@ fn merge_bench_json(key: &str, entry: serde_json::Value) {
 /// The xl-scale phase: all four balancer phases at 65,536 peers over a
 /// ts50k underlay (twice: aware + ignorant — the fig-7-shaped proximity
 /// sweep), with wall time and peak RSS appended to BENCH_repro.json.
-fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
+fn run_xl(args: &Args, trace: &mut Trace) {
     for fig in &args.figs {
         assert!(
             *fig == 7,
@@ -474,7 +474,7 @@ fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         args.seed
     );
     let total = Instant::now();
-    let out = proxbal_sim::experiments::xl_scale_run(args.seed, args.threads, trace, progress);
+    let out = proxbal_sim::experiments::xl_scale(args.seed, args.threads, trace);
     let total_wall = total.elapsed().as_secs_f64();
     let peak_rss = proxbal_bench::peak_rss_bytes();
 
@@ -549,7 +549,7 @@ fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
 /// proximity-aware four-phase pass executed in place. Appends an `xl2`
 /// entry to BENCH_repro.json unless `--peers` rescaled the run (smoke runs
 /// must not clobber the committed full-scale entry).
-fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
+fn run_xl2(args: &Args, trace: &mut Trace) {
     assert!(
         args.figs.is_empty() && args.claims.is_empty(),
         "repro xl2 runs its own phase (figures/claims not supported)"
@@ -563,7 +563,11 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         scenario.peers, args.seed
     );
     let total = Instant::now();
-    let out = proxbal_sim::experiments::xl2_scale_run(scenario, args.threads, trace, progress);
+    let before = round_phase_seconds();
+    let out = proxbal_sim::experiments::xl2_scale(scenario, args.threads, trace);
+    let after = round_phase_seconds();
+    let [lbi_wall, aggregate_wall, vsa_wall, transfer_wall] =
+        std::array::from_fn(|i| after[i] - before[i]);
     let total_wall = total.elapsed().as_secs_f64();
     let peak_rss = proxbal_bench::peak_rss_bytes();
 
@@ -587,10 +591,10 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     );
     // One wall per line with the seconds last, so the thread-invariance
     // smoke (scripts/check.sh scrub_xl2) strips them like every other wall.
-    println!("  lbi wall: {:.2}s", run.lbi_wall_s);
-    println!("  aggregate wall: {:.2}s", run.aggregate_wall_s);
-    println!("  vsa wall: {:.2}s", run.vsa_wall_s);
-    println!("  transfer wall: {:.2}s", run.transfer_wall_s);
+    println!("  lbi wall: {lbi_wall:.2}s");
+    println!("  aggregate wall: {aggregate_wall:.2}s");
+    println!("  vsa wall: {vsa_wall:.2}s");
+    println!("  transfer wall: {transfer_wall:.2}s");
     println!("\n  CDF of moved load (distance: aware)");
     for d in [0u32, 1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50] {
         println!(
@@ -624,10 +628,10 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
             "prepare_wall_s": out.prepare_wall_s,
             "tree_wall_s": out.tree_wall_s,
             "aware_wall_s": run.wall_s,
-            "lbi_wall_s": run.lbi_wall_s,
-            "aggregate_wall_s": run.aggregate_wall_s,
-            "vsa_wall_s": run.vsa_wall_s,
-            "transfer_wall_s": run.transfer_wall_s,
+            "lbi_wall_s": lbi_wall,
+            "aggregate_wall_s": aggregate_wall,
+            "vsa_wall_s": vsa_wall,
+            "transfer_wall_s": transfer_wall,
             "peak_rss_bytes": peak_rss.unwrap_or(0),
             "alloc_count": alloc.allocs,
             "alloc_bytes": alloc.bytes,
@@ -654,13 +658,32 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     }
 }
 
+/// Wall seconds of the phase profiler's `round/{lbi,aggregate,vsa,transfer}`
+/// rows recorded so far, summed over every place they occur in the phase
+/// tree. Deltas around a pass are that pass's per-phase walls.
+fn round_phase_seconds() -> [f64; 4] {
+    let rows = proxbal_profile::report().rows;
+    [
+        "round/lbi",
+        "round/aggregate",
+        "round/vsa",
+        "round/transfer",
+    ]
+    .map(|name| {
+        rows.iter()
+            .filter(|r| r.name == name)
+            .map(|r| r.wall.as_secs_f64())
+            .sum()
+    })
+}
+
 /// The `--faults <rate>` phase: the four-phase protocol driven through a
 /// seeded fault plan at loss rates {0, 1%, 5%, `<rate>`}, reporting phase
 /// completion, repair work, convergence rounds and residual imbalance per
 /// rate. Every merged metric is a pure function of `(seed, rates)` — no
 /// wall-clocks — so the entry is byte-stable across machines and thread
 /// counts and can be diffed by the CI bench-drift gate.
-fn run_faults(args: &Args, rate: f64, trace: &mut Trace, progress: &dyn ProgressSink) {
+fn run_faults(args: &Args, rate: f64, trace: &mut Trace) {
     assert!(
         (0.0..1.0).contains(&rate),
         "--faults rate must be in [0, 1)"
@@ -670,7 +693,7 @@ fn run_faults(args: &Args, rate: f64, trace: &mut Trace, progress: &dyn Progress
     rates.dedup();
     let s = scenario(args, TopologyKind::Ts5kLarge);
     let t = Instant::now();
-    let rows = proxbal_sim::experiments::fault_sweep_run(&s, &rates, args.threads, trace, progress);
+    let rows = proxbal_sim::experiments::fault_sweep(&s, &rates, args.threads, trace);
     let wall = t.elapsed();
 
     println!(
@@ -723,7 +746,7 @@ fn run_faults(args: &Args, rate: f64, trace: &mut Trace, progress: &dyn Progress
 /// BENCH_repro.json; every merged field except the wall-clock and thread
 /// count is a pure function of the seed, so the entry is byte-stable
 /// across machines and `--threads` settings.
-fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
+fn run_engine_cmd(args: &Args, trace: &mut Trace) {
     assert!(
         args.figs.is_empty() && args.claims.is_empty(),
         "repro engine runs its own phase (figures/claims not supported)"
@@ -761,9 +784,8 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         scenario.peers, cfg.epochs, args.seed
     );
     let total = Instant::now();
-    let mut prepared = scenario.prepare_run(args.threads, progress);
-    let report =
-        proxbal_sim::run_engine_with(&mut prepared, &cfg, trace, progress).expect("engine run");
+    let mut prepared = scenario.prepare_threads(args.threads);
+    let report = proxbal_sim::run_engine_traced(&mut prepared, &cfg, trace).expect("engine run");
     let total_wall = total.elapsed().as_secs_f64();
 
     println!(
@@ -1000,24 +1022,20 @@ fn main() {
     }
     // Allocation accounting is on for every run (it only feeds stderr
     // heartbeats, volatile profile artifacts and schema-gated BENCH
-    // fields, so stdout stays byte-identical); the phase profiler only
-    // with --profile.
+    // fields, so stdout stays byte-identical); the phase profiler with
+    // --profile, and for xl2, whose per-phase walls are its `round/*` rows.
     proxbal_profile::enable_counting();
-    if args.profile.is_some() {
+    if args.profile.is_some() || args.scale == Scale::Xl2 {
         proxbal_profile::enable_profiler();
     }
-    let stderr_sink;
-    let progress: &dyn ProgressSink = if args.progress && !args.quiet {
-        stderr_sink = StderrSink::default();
-        &stderr_sink
-    } else {
-        &NullSink
-    };
+    if args.progress && !args.quiet {
+        proxbal_profile::progress::install(Box::new(StderrSink::default()));
+    }
     let mut trace = Trace::new(args.trace.is_some() || args.profile.is_some(), "repro");
     if args.engine {
         {
             let _p = proxbal_profile::phase("engine");
-            run_engine_cmd(&args, &mut trace, progress);
+            run_engine_cmd(&args, &mut trace);
         }
         finish_trace(&args, &trace);
         finish_profile(&args, &trace);
@@ -1026,7 +1044,7 @@ fn main() {
     if args.scale == Scale::Xl {
         {
             let _p = proxbal_profile::phase("xl");
-            run_xl(&args, &mut trace, progress);
+            run_xl(&args, &mut trace);
         }
         finish_trace(&args, &trace);
         finish_profile(&args, &trace);
@@ -1035,7 +1053,7 @@ fn main() {
     if args.scale == Scale::Xl2 {
         {
             let _p = proxbal_profile::phase("xl2");
-            run_xl2(&args, &mut trace, progress);
+            run_xl2(&args, &mut trace);
         }
         finish_trace(&args, &trace);
         finish_profile(&args, &trace);
@@ -1044,7 +1062,7 @@ fn main() {
     if let Some(rate) = args.faults {
         {
             let _p = proxbal_profile::phase("faults");
-            run_faults(&args, rate, &mut trace, progress);
+            run_faults(&args, rate, &mut trace);
         }
         if args.figs.is_empty() && args.claims.is_empty() {
             finish_trace(&args, &trace);
@@ -1079,7 +1097,7 @@ fn main() {
     // wall-clocks are not distorted by concurrent phases.
     let phase_threads = if args.timing { 1 } else { args.threads };
     let total = Instant::now();
-    let ran = proxbal_sim::parallel::map_items_traced(
+    let ran = proxbal_parallel::map_items_traced(
         &phases,
         phase_threads,
         &mut trace,
@@ -1167,7 +1185,7 @@ fn fig4(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
         "── Figure 4: unit load per node before/after load balancing (Gaussian) ──"
     );
     let mut prepared = scenario(args, TopologyKind::None).prepare();
-    let out = fig4_unit_load_traced(&mut prepared, trace);
+    let out = fig4_unit_load(&mut prepared, trace);
     let before = Summary::of(&out.before);
     let after = Summary::of(&out.after);
     let heavy_before = out
@@ -1229,7 +1247,7 @@ fn fig56(args: &Args, pareto: bool, trace: &mut Trace) -> (String, serde_json::V
         s.load = LoadModel::pareto(1_000_000.0);
     }
     let mut prepared = s.prepare();
-    let out = fig56_class_loads_traced(&mut prepared, trace);
+    let out = fig56_class_loads(&mut prepared, trace);
     say!(
         o,
         "{:>10} {:>6} {:>16} {:>16}",
@@ -1285,7 +1303,7 @@ fn fig78(
         "── Figure {fig}: moved load vs transfer distance ({name}, {graphs} graphs) ──"
     );
     let base = scenario(args, topology);
-    let out = fig78_replicated_traced(&base, graphs, args.threads, trace);
+    let out = fig78_replicated(&base, graphs, args.threads, trace);
     say!(o, "proximity-aware   : {}", headline(&out.aware));
     say!(o, "proximity-ignorant: {}", headline(&out.ignorant));
     // Most runs fully balance; an occasional draw leaves a small residue of
@@ -1364,7 +1382,7 @@ fn claim_rounds(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
         Scale::Small => vec![64, 128, 256, 512],
         Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
-    let rows = rounds_scaling_traced(&sizes, &[2, 8], args.seed, args.threads, trace);
+    let rows = rounds_scaling(&sizes, &[2, 8], args.seed, args.threads, trace);
     let json = serde_json::to_value(&rows).expect("serialize rows");
     say!(
         o,
@@ -1421,15 +1439,11 @@ fn claim_repair(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
         .iter()
         .flat_map(|&k| [0.1, 0.25, 0.5].iter().map(move |&f| (k, f)))
         .collect();
-    let per_cell = proxbal_sim::parallel::map_items_traced(
-        &cells,
-        args.threads,
-        trace,
-        |_, &(k, frac), trace| {
+    let per_cell =
+        proxbal_parallel::map_items_traced(&cells, args.threads, trace, |_, &(k, frac), trace| {
             trace.relabel(&format!("k{k}_crash{frac}"));
-            repair_after_crash_traced(peers, frac, k, args.seed, trace)
-        },
-    );
+            repair_after_crash(peers, frac, k, args.seed, trace)
+        });
     let mut rows = Vec::new();
     for ((k, frac), row) in cells.iter().zip(per_cell) {
         say!(
@@ -1505,7 +1519,7 @@ fn claim_ablations(args: &Args, trace: &mut Trace) -> (String, serde_json::Value
         s.peers = 2048; // 14 full-scale runs; keep runtime sane
     }
     let prepared = s.prepare();
-    let rows = ablation_sweep_traced(&prepared, args.threads, trace);
+    let rows = ablation_sweep(&prepared, args.threads, trace);
     let json = serde_json::to_value(&rows).expect("serialize ablations");
     say!(
         o,
@@ -1614,7 +1628,7 @@ fn claim_latency(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) 
         Scale::Small => vec![256],
         Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
-    let rows = proxbal_sim::experiments::protocol_latency_traced(
+    let rows = proxbal_sim::experiments::protocol_latency(
         &sizes,
         &[2, 8],
         &[0.0, 0.05],
@@ -1683,7 +1697,7 @@ fn claim_overhead(args: &Args, trace: &mut Trace) -> (String, serde_json::Value)
             proxbal_core::ProximityMode::Aware(proxbal_core::ProximityParams::default()),
         ),
     ];
-    let stats = proxbal_sim::parallel::map_items_traced(
+    let stats = proxbal_parallel::map_items_traced(
         &modes,
         args.threads,
         trace,
@@ -1697,7 +1711,7 @@ fn claim_overhead(args: &Args, trace: &mut Trace) -> (String, serde_json::Value)
             };
             let mut rng = prepared.derived_rng(0x0F0F);
             let report = proxbal_core::LoadBalancer::new(cfg)
-                .run_traced(&mut net, &mut loads, Some(underlay), &mut rng, trace)
+                .run(&mut net, &mut loads, Some(underlay), &mut rng, trace)
                 .expect("attached network");
             report.messages
         },

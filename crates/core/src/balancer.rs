@@ -181,26 +181,16 @@ impl LoadBalancer {
         &self.cfg
     }
 
-    /// Runs one complete balancing pass over the network.
+    /// Runs one complete balancing pass over the network, over a tree
+    /// built fresh for it.
     ///
     /// `underlay` supplies the physical topology; it is required for
     /// [`ProximityMode::Aware`] and, when present, transfer distances are
-    /// recorded for the cost analysis of Figures 7 and 8.
+    /// recorded for the cost analysis of Figures 7 and 8. Per-phase spans
+    /// and counters go to `trace`; tracing never perturbs the run — a
+    /// [`Trace::disabled`] collector takes the identical code path and the
+    /// report is byte-for-byte the same either way.
     pub fn run<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        underlay: Option<Underlay<'_>>,
-        rng: &mut R,
-    ) -> Result<BalanceReport, crate::Error> {
-        self.run_traced(net, loads, underlay, rng, &mut Trace::disabled())
-    }
-
-    /// Like [`LoadBalancer::run`], recording per-phase spans and counters
-    /// into `trace`. Tracing never perturbs the run: a disabled collector
-    /// takes the identical code path and the report is byte-for-byte the
-    /// same either way.
-    pub fn run_traced<R: Rng>(
         &self,
         net: &mut ChordNetwork,
         loads: &mut LoadState,
@@ -209,12 +199,21 @@ impl LoadBalancer {
         trace: &mut Trace,
     ) -> Result<BalanceReport, crate::Error> {
         let mut tree = KTree::build(net, self.cfg.k);
-        self.run_with_tree_traced(net, loads, &mut tree, underlay, rng, trace)
+        self.run_round(
+            net,
+            loads,
+            &mut tree,
+            underlay,
+            &mut RoundCache::new(),
+            &DirtySet::All,
+            rng,
+            trace,
+        )
     }
 
-    /// Like [`LoadBalancer::run`], but over a long-lived tree: the tree is
-    /// brought up to date with ordinary soft-state maintenance rounds and
-    /// then reused.
+    /// Like [`LoadBalancer::run`], untraced and over a long-lived tree: the
+    /// tree is brought up to date with ordinary soft-state maintenance
+    /// rounds and then reused.
     ///
     /// Virtual-server *transfers* never change ring positions, so a
     /// balancing pass leaves the tree structurally intact — the paper's
@@ -222,6 +221,11 @@ impl LoadBalancer {
     /// relatively stable, we could adopt a lazy migration protocol")
     /// falls out of the identifier-space construction. Only churn (and VS
     /// splits) require maintenance.
+    ///
+    /// A one-shot run is exactly one [`LoadBalancer::run_round`] in which
+    /// every peer is dirty ([`DirtySet::All`], throwaway [`RoundCache`]),
+    /// so all entry points share a single four-phase code path (and the
+    /// same randomness consumption order).
     pub fn run_with_tree<R: Rng>(
         &self,
         net: &mut ChordNetwork,
@@ -230,54 +234,7 @@ impl LoadBalancer {
         underlay: Option<Underlay<'_>>,
         rng: &mut R,
     ) -> Result<BalanceReport, crate::Error> {
-        self.run_with_tree_traced(net, loads, tree, underlay, rng, &mut Trace::disabled())
-    }
-
-    /// Like [`LoadBalancer::run_with_tree`], recording per-phase spans and
-    /// counters into `trace`.
-    ///
-    /// Delegates to [`LoadBalancer::run_round_traced`] with
-    /// [`DirtySet::All`] and a throwaway [`RoundCache`]: a one-shot run is
-    /// exactly one incremental round in which every peer is dirty, so both
-    /// entry points share a single four-phase code path (and the same
-    /// randomness consumption order).
-    pub fn run_with_tree_traced<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        tree: &mut KTree,
-        underlay: Option<Underlay<'_>>,
-        rng: &mut R,
-        trace: &mut Trace,
-    ) -> Result<BalanceReport, crate::Error> {
-        self.run_with_tree_walls(
-            net,
-            loads,
-            tree,
-            underlay,
-            rng,
-            trace,
-            &mut crate::RoundWalls::default(),
-        )
-    }
-
-    /// Like [`LoadBalancer::run_with_tree_traced`], additionally measuring
-    /// the wall-clock seconds each intra-round phase took into `walls`.
-    /// The walls are an out-parameter (not part of [`BalanceReport`])
-    /// because they are inherently nondeterministic — everything inside
-    /// the report stays byte-identical at any thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_tree_walls<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        tree: &mut KTree,
-        underlay: Option<Underlay<'_>>,
-        rng: &mut R,
-        trace: &mut Trace,
-        walls: &mut crate::RoundWalls,
-    ) -> Result<BalanceReport, crate::Error> {
-        self.run_round_walls(
+        self.run_round(
             net,
             loads,
             tree,
@@ -285,8 +242,7 @@ impl LoadBalancer {
             &mut RoundCache::new(),
             &DirtySet::All,
             rng,
-            trace,
-            walls,
+            &mut Trace::disabled(),
         )
     }
 }

@@ -1,8 +1,8 @@
 //! The unified error hierarchy of the balancing core.
 //!
 //! Every fallible protocol-level path — one-shot balancing runs, transfer
-//! execution, and the continuous-operation engine built on top — reports
-//! through [`Error`]. The variants cover conditions a caller can hit with a
+//! execution, the message-level protocol simulations and the
+//! continuous-operation engine built on top — reports through [`Error`]. The variants cover conditions a caller can hit with a
 //! half-configured network (in contrast to the programmer-error `assert!`s
 //! on [`crate::BalancerConfig`] values), so they are recoverable by fixing
 //! the setup rather than by catching a panic.
@@ -13,9 +13,10 @@ use proxbal_chord::PeerId;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A transfer endpoint has no underlay attachment, so its physical
-    /// distance is undefined. Attach every peer
-    /// (`ChordNetwork::attach`) before running with an oracle.
+    /// A transfer endpoint (or a KT edge endpoint in a protocol
+    /// simulation) has no underlay attachment, so its physical distance is
+    /// undefined. Attach every peer (`ChordNetwork::attach`) before running
+    /// with an oracle.
     UnattachedPeer(PeerId),
     /// The network has no alive peers, so there is nothing to aggregate:
     /// the system LBI `<L, C, L_min>` is undefined on an empty membership.
@@ -27,20 +28,6 @@ pub enum Error {
     /// intervals, zero epochs, a non-positive emergency threshold, …).
     /// The message names the offending knob.
     InvalidEngineConfig(&'static str),
-    /// A protocol simulation phase failed underneath a balancing run:
-    /// `phase` names the stage (`"aggregation"`, `"dissemination"`, or
-    /// `"loss-model"` for a misconfigured loss probability) and
-    /// `reached`/`expected` carry its coverage when meaningful (both zero
-    /// otherwise). Distinct from [`Error::EmptyNetwork`] — the membership
-    /// was fine; the simulated protocol run underneath it was not.
-    Protocol {
-        /// Which protocol stage failed.
-        phase: &'static str,
-        /// Nodes the phase actually covered (0 when not a coverage error).
-        reached: usize,
-        /// Nodes the phase had to cover (0 when not a coverage error).
-        expected: usize,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -57,20 +44,6 @@ impl std::fmt::Display for Error {
             }
             Error::InvalidEngineConfig(what) => {
                 write!(f, "invalid engine configuration: {what}")
-            }
-            Error::Protocol {
-                phase,
-                reached,
-                expected,
-            } => {
-                if *expected == 0 {
-                    write!(f, "protocol {phase} failure")
-                } else {
-                    write!(
-                        f,
-                        "protocol {phase} fell short: covered {reached} of {expected} nodes"
-                    )
-                }
             }
         }
     }

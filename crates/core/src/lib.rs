@@ -29,6 +29,7 @@
 //! ```
 //! use proxbal_chord::ChordNetwork;
 //! use proxbal_core::{BalancerConfig, LoadBalancer, LoadState};
+//! use proxbal_trace::Trace;
 //! use proxbal_workload::{CapacityProfile, LoadModel};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -44,7 +45,9 @@
 //!     &mut rng,
 //! );
 //! let balancer = LoadBalancer::new(BalancerConfig::default());
-//! let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+//! let report = balancer
+//!     .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+//!     .unwrap();
 //! assert!(report.heavy_after() <= report.before[&proxbal_core::NodeClass::Heavy]);
 //! ```
 
@@ -69,14 +72,14 @@ pub use error::Error;
 pub use lbi::{Lbi, LoadState};
 pub use pairing::{Assignment, LightSlot, RendezvousLists, ShedCandidate};
 pub use reports::{Classification, ProximityParams};
-pub use round::{DirtySet, RoundCache, RoundWalls};
+pub use round::{DirtySet, RoundCache};
 pub use selection::{choose_shed_set, EXACT_LIMIT};
 pub use split::split_and_place;
 pub use transfer::{
     absorb_join, execute_transfers, execute_transfers_with_requeue, graceful_leave,
     total_moved_load, weighted_cost, RequeueOutcome, TransferRecord,
 };
-pub use vsa::{run_vsa, run_vsa_traced, VsaOutcome, VsaParams};
+pub use vsa::{run_vsa, VsaOutcome, VsaParams};
 
 #[cfg(test)]
 mod tests;

@@ -11,8 +11,7 @@
 //! upward messages.
 //!
 //! The one-shot entry points delegate here with [`DirtySet::All`] and a
-//! throwaway cache, so there is exactly one four-phase code path and the
-//! legacy output is structurally byte-identical.
+//! throwaway cache, so there is exactly one four-phase code path.
 
 use crate::classify::{ClassifyParams, NodeClass};
 use crate::error::Error;
@@ -21,32 +20,13 @@ use crate::reports::{
     ignorant_inputs, light_slots_with, proximity_inputs_with, shed_candidates_with, Classification,
 };
 use crate::transfer::execute_transfers;
-use crate::vsa::{run_vsa_traced, VsaParams};
+use crate::vsa::{run_vsa, VsaParams};
 use crate::{BalanceReport, LoadBalancer, MessageStats, ProximityMode, Underlay};
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
 use proxbal_ktree::KTree;
 use proxbal_trace::Trace;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::time::Instant;
-
-/// Wall-clock seconds of each intra-round phase, measured by
-/// [`LoadBalancer::run_round_walls`]. Walls travel as an out-parameter —
-/// never inside [`BalanceReport`] or the trace — because they are
-/// inherently nondeterministic, while everything the round *returns* must
-/// stay byte-identical at any thread count.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoundWalls {
-    /// Report rebinding + per-peer LBI generation (phase 1 up to the tree).
-    pub lbi_wall_s: f64,
-    /// The bottom-up tree aggregation of the LBIs.
-    pub aggregate_wall_s: f64,
-    /// Classification, shed/light extraction, VSA input publication and
-    /// the rendezvous sweep (phases 2–3).
-    pub vsa_wall_s: f64,
-    /// Transfer execution including distance accounting (phase 4).
-    pub transfer_wall_s: f64,
-}
 
 /// Fixed per-peer chunk size of the intra-round parallel sweeps. A chunk is
 /// the unit a worker claims; results are drained in chunk order, so the
@@ -112,68 +92,19 @@ impl LoadBalancer {
     /// the phase structure; `underlay` and `rng` behave identically.
     ///
     /// With [`DirtySet::All`] and a fresh cache this is exactly a one-shot
-    /// run — the legacy entry points delegate here.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_round<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        tree: &mut KTree,
-        underlay: Option<Underlay<'_>>,
-        cache: &mut RoundCache,
-        dirty: &DirtySet,
-        rng: &mut R,
-    ) -> Result<BalanceReport, Error> {
-        self.run_round_traced(
-            net,
-            loads,
-            tree,
-            underlay,
-            cache,
-            dirty,
-            rng,
-            &mut Trace::disabled(),
-        )
-    }
-
-    /// Like [`LoadBalancer::run_round`], recording per-phase spans and
-    /// counters into `trace`.
+    /// run — the one-shot entry points delegate here.
     ///
-    /// The four phases are laid out sequentially on a virtual timeline whose
-    /// unit is one message round: tree maintenance, then `phase/lbi`
-    /// (duration = aggregation rounds), `phase/classify` (dissemination
-    /// rounds), `phase/vsa` (sweep rounds) and `phase/vst` (the maximum
-    /// physical transfer distance, since transfers run in parallel).
-    /// `lbi_messages` counts only the tree edges the *re-reporting* peers'
-    /// LBIs crossed — under a small dirty set most of the tree stays quiet,
-    /// the paper's periodic-report economy.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_round_traced<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        tree: &mut KTree,
-        underlay: Option<Underlay<'_>>,
-        cache: &mut RoundCache,
-        dirty: &DirtySet,
-        rng: &mut R,
-        trace: &mut Trace,
-    ) -> Result<BalanceReport, Error> {
-        self.run_round_walls(
-            net,
-            loads,
-            tree,
-            underlay,
-            cache,
-            dirty,
-            rng,
-            trace,
-            &mut RoundWalls::default(),
-        )
-    }
-
-    /// Like [`LoadBalancer::run_round_traced`], additionally measuring the
-    /// wall-clock seconds of each phase into `walls` (see [`RoundWalls`]).
+    /// The four phases are laid out sequentially on `trace`'s virtual
+    /// timeline whose unit is one message round: tree maintenance, then
+    /// `phase/lbi` (duration = aggregation rounds), `phase/classify`
+    /// (dissemination rounds), `phase/vsa` (sweep rounds) and `phase/vst`
+    /// (the maximum physical transfer distance, since transfers run in
+    /// parallel). `lbi_messages` counts only the tree edges the
+    /// *re-reporting* peers' LBIs crossed — under a small dirty set most of
+    /// the tree stays quiet, the paper's periodic-report economy. The wall
+    /// clock of each phase goes to the `round/{lbi,aggregate,vsa,transfer}`
+    /// rows of the [`proxbal_profile`] phase profiler, never into the
+    /// report or the trace.
     ///
     /// # Intra-round parallelism
     ///
@@ -188,7 +119,7 @@ impl LoadBalancer {
     /// insertion sequence. Chunk sizes are compile-time constants, never
     /// derived from the thread count.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_round_walls<R: Rng>(
+    pub fn run_round<R: Rng>(
         &self,
         net: &mut ChordNetwork,
         loads: &mut LoadState,
@@ -198,7 +129,6 @@ impl LoadBalancer {
         dirty: &DirtySet,
         rng: &mut R,
         trace: &mut Trace,
-        walls: &mut RoundWalls,
     ) -> Result<BalanceReport, Error> {
         let cfg = self.config();
         let threads = self.threads();
@@ -223,7 +153,6 @@ impl LoadBalancer {
         }
         // Pass A (serial): every RNG draw and cache mutation, in original
         // peer order — redraw decisions are exactly the serial loop's.
-        let wall = Instant::now();
         let prof = proxbal_profile::phase("round/lbi");
         let mut decisions: Vec<(PeerId, Option<VsId>, bool)> = Vec::with_capacity(alive.len());
         for p in alive {
@@ -296,10 +225,8 @@ impl LoadBalancer {
         // carries exactly one aggregated LBI message; quiet peers' cached
         // contributions cost nothing).
         let lbi_messages = count_active_edges(net, tree, report_seeds.iter().copied());
-        walls.lbi_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
         let lbi_input_count = lbi_inputs.len();
-        let wall = Instant::now();
         let prof = proxbal_profile::phase("round/aggregate");
         let proxbal_ktree::AggregateOutcome {
             root_value,
@@ -308,7 +235,6 @@ impl LoadBalancer {
             per_node,
         } = tree.aggregate_with(lbi_inputs, threads);
         drop(per_node); // free the per-node LBI views before phase 2 allocates
-        walls.aggregate_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
         let system = *root_value.ok_or(Error::EmptyNetwork)?;
         trace.span_args(
@@ -356,7 +282,6 @@ impl LoadBalancer {
         // rounds; materializing the per-node copies (what
         // `KTree::disseminate` returns) would be pure waste here, so only
         // the round count is computed.
-        let wall = Instant::now();
         let prof = proxbal_profile::phase("round/vsa");
         let dissemination_rounds = tree.max_message_depth();
         let dissemination_messages = count_active_edges(net, tree, tree.iter_ids());
@@ -399,7 +324,7 @@ impl LoadBalancer {
             rendezvous_threshold: cfg.rendezvous_threshold,
             l_min: system.min_vs_load,
         };
-        let mut vsa = run_vsa_traced(tree, inputs, &vsa_params, trace);
+        let mut vsa = run_vsa(tree, inputs, &vsa_params, trace);
 
         // Optional extension: split unplaceable virtual servers and place
         // the halves (off unless `max_splits > 0`).
@@ -437,11 +362,9 @@ impl LoadBalancer {
         trace.count("vsa_record_hops", vsa.record_hops as u64);
         trace.count("vsa_notifications", 2 * vsa.assignments.len() as u64);
         clock += u64::from(vsa.rounds);
-        walls.vsa_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
 
         // Phase 4: VST (§3.5).
-        let wall = Instant::now();
         let prof = proxbal_profile::phase("round/transfer");
         let transfers = execute_transfers(
             net,
@@ -478,7 +401,6 @@ impl LoadBalancer {
         // Re-classify against the same system LBI for the after picture.
         let after_cls = Classification::compute_with(net, loads, &params, system, threads);
         let after = class_counts(&after_cls);
-        walls.transfer_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
         trace.count(
             "heavy_after",

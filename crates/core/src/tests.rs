@@ -376,7 +376,9 @@ proptest! {
 fn balancer_eliminates_heavy_nodes_gaussian() {
     let (mut net, mut loads, mut rng) = setup(128, 5, 10);
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let report = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     let heavy_before = report.before[&NodeClass::Heavy];
     assert!(heavy_before > 0, "workload should create heavy nodes");
     // The paper: "all heavy nodes become light by transferring excess loads"
@@ -404,7 +406,9 @@ fn balancer_eliminates_heavy_nodes_pareto() {
         &mut rng,
     );
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let report = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     let heavy_before = report.before[&NodeClass::Heavy];
     assert!(heavy_before > 0);
     assert!(report.heavy_after() * 10 <= heavy_before);
@@ -415,7 +419,9 @@ fn balancer_conserves_total_load() {
     let (mut net, mut loads, mut rng) = setup(64, 5, 12);
     let before = loads.totals(&net).load;
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let _ = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let _ = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     let after = loads.totals(&net).load;
     assert!(
         (before - after).abs() < 1e-6 * before,
@@ -427,7 +433,9 @@ fn balancer_conserves_total_load() {
 fn balancer_no_node_exceeds_target_after_run() {
     let (mut net, mut loads, mut rng) = setup(96, 5, 13);
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let report = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     let params = ClassifyParams {
         epsilon: balancer.config().epsilon,
     };
@@ -451,7 +459,9 @@ fn balancer_rounds_are_logarithmic() {
             k,
             ..BalancerConfig::default()
         });
-        let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+        let report = balancer
+            .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+            .unwrap();
         let m = net.alive_vs_count() as f64;
         let bound = (2.0 * m.log(k as f64)).ceil() as u32 + 6;
         assert!(
@@ -471,7 +481,9 @@ fn balancer_rounds_are_logarithmic() {
 fn balancer_aligns_load_with_capacity() {
     let (mut net, mut loads, mut rng) = setup(256, 5, 15);
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let _ = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let _ = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     // Average load per capacity class must increase with capacity (Figures
     // 5/6: higher-capacity nodes carry more load).
     let mut per_class: HashMap<usize, (f64, usize)> = HashMap::new();
@@ -734,7 +746,9 @@ fn splitting_reduces_epsilon_zero_stragglers() {
             max_splits,
             ..BalancerConfig::default()
         });
-        let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+        let report = balancer
+            .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+            .unwrap();
         net.check_invariants().unwrap();
         report.heavy_after()
     };
@@ -755,7 +769,9 @@ fn splitting_conserves_load_end_to_end() {
         max_splits: 32,
         ..BalancerConfig::default()
     });
-    let _ = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let _ = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     let after = loads.totals(&net).load;
     assert!((before - after).abs() < 1e-6 * before);
     net.check_invariants().unwrap();
@@ -787,7 +803,9 @@ fn empty_peers_keep_reporting_capacity() {
     assert!(net.vss_of(victim).is_empty());
 
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let report = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     // Aggregated capacity equals ground truth (the empty peer included).
     let want = loads.totals(&net);
     assert!(
@@ -858,7 +876,9 @@ fn object_microfoundation_yields_balanceable_system() {
     let objects = ObjectWorkload::uniform(200_000, 1e6).generate(&mut rng);
     let mut loads = LoadState::from_objects(&net, &CapacityProfile::gnutella(), &objects, &mut rng);
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let report = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     assert!(report.before[&NodeClass::Heavy] > 0);
     assert_eq!(report.heavy_after(), 0);
 }
@@ -913,7 +933,9 @@ fn weighted_cost_sums_load_times_distance() {
 fn message_stats_are_consistent() {
     let (mut net, mut loads, mut rng) = setup(128, 5, 60);
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+    let report = balancer
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+        .unwrap();
     let m = &report.messages;
     // Every peer reports once; messages are aggregated along shared paths,
     // so LBI messages are at most (peers − 1) edges and at least the tree's
@@ -949,7 +971,12 @@ proptest! {
             light.iter().map(|(&p, s)| (p, s.spare)).collect();
         let tree = KTree::build(&net, 2);
         let inputs = reports::ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
-        let vsa = run_vsa(&tree, inputs, &VsaParams::paper(system.min_vs_load));
+        let vsa = run_vsa(
+            &tree,
+            inputs,
+            &VsaParams::paper(system.min_vs_load),
+            &mut Trace::disabled(),
+        );
 
         let mut seen = std::collections::HashSet::new();
         let mut received: HashMap<PeerId, f64> = HashMap::new();

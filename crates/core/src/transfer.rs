@@ -164,7 +164,7 @@ pub fn execute_transfers_with_requeue(
         return Ok(outcome);
     }
     let mut extra = Vec::new();
-    spare.pair_into_traced(l_min, &mut extra, trace);
+    spare.pair_into(l_min, &mut extra, trace);
     // Dead light peers may linger in `spare` too; the executor's liveness
     // filter drops those pairings, leaving the candidate for next round.
     let executed = execute_transfers(net, loads, &extra, oracle, threads, trace)?;

@@ -13,16 +13,16 @@
 //! * [`flame`] — folds a span hierarchy (borrowed as [`flame::SpanView`]s,
 //!   e.g. from `proxbal-trace` tracks) into inferno collapsed-stack text
 //!   and speedscope JSON.
-//! * [`progress`] — a [`ProgressSink`] trait plus stderr/null impls for
-//!   periodic heartbeat lines while a long run is in flight.
+//! * [`progress`] — a process-global [`ProgressSink`] (installed once,
+//!   like the profiler is enabled once) plus a stderr impl for periodic
+//!   heartbeat lines while a long run is in flight.
 //!
-//! Determinism contract (mirrors `RoundWalls` from `proxbal-core`): span
-//! *structure* and allocation *counts* are deterministic for a fixed
-//! workload (counts additionally fix the thread count — parallel workers
-//! allocate scratch); wall clocks, CPU time and RSS are volatile and must
-//! never feed a deterministic artifact. The virtual-time flamegraph is
-//! deterministic because it is a pure function of the trace; the
-//! wall-weighted variant is explicitly volatile.
+//! Determinism contract: span *structure* and allocation *counts* are
+//! deterministic for a fixed workload (counts additionally fix the thread
+//! count — parallel workers allocate scratch); wall clocks, CPU time and
+//! RSS are volatile and must never feed a deterministic artifact. The
+//! virtual-time flamegraph is deterministic because it is a pure function
+//! of the trace; the wall-weighted variant is explicitly volatile.
 
 pub mod alloc;
 pub mod flame;
@@ -32,5 +32,5 @@ pub mod resource;
 
 pub use alloc::{counting_enabled, enable_counting, AllocSnapshot, CountingAlloc};
 pub use profiler::{enable as enable_profiler, phase, profiler_enabled, report, ProfileReport};
-pub use progress::{fmt_bytes, NullSink, ProgressSink, StderrSink};
+pub use progress::{fmt_bytes, ProgressSink, StderrSink};
 pub use resource::{cpu_time, current_rss_bytes, peak_rss_bytes};

@@ -2,15 +2,17 @@
 //!
 //! Producers (the engine epoch loop, xl/xl2 preparation, the fault sweep)
 //! compose the domain half of a line — `engine: epoch 12/200 heavy=17` —
-//! and hand it to a [`ProgressSink`]. The stderr sink appends the
-//! resource half (current RSS, allocation delta since the last line) and
-//! rate-limits high-frequency callers. Everything goes to stderr so
-//! stdout's byte-identity contract is untouched, and the null sink makes
-//! un-instrumented runs literally free.
+//! and hand it to [`event`] or [`always`]. Like the [`crate::phase`]
+//! profiler, the sink is process-global: a binary [`install`]s one once
+//! (the CLI's `--progress` installs a [`StderrSink`]) and no signature
+//! carries it. Without an installed sink both calls return at once. The
+//! stderr sink appends the resource half (current RSS, allocation delta
+//! since the last line) and rate-limits high-frequency callers. Everything
+//! goes to stderr so stdout's byte-identity contract is untouched.
 
 use crate::alloc::AllocSnapshot;
 use crate::resource::current_rss_bytes;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Receiver for heartbeat lines. Implementations must be `Sync`: the
@@ -23,12 +25,27 @@ pub trait ProgressSink: Sync {
     fn always(&self, msg: &str);
 }
 
-/// Discards everything; the default for non-interactive runs.
-pub struct NullSink;
+static SINK: OnceLock<Box<dyn ProgressSink + Send>> = OnceLock::new();
 
-impl ProgressSink for NullSink {
-    fn event(&self, _msg: &str) {}
-    fn always(&self, _msg: &str) {}
+/// Installs the process-global sink. Only the first call takes effect;
+/// returns whether this one did.
+pub fn install(sink: Box<dyn ProgressSink + Send>) -> bool {
+    SINK.set(sink).is_ok()
+}
+
+/// Rate-limited heartbeat to the installed sink (none installed: no-op).
+pub fn event(msg: &str) {
+    if let Some(sink) = SINK.get() {
+        sink.event(msg);
+    }
+}
+
+/// Unconditional milestone line to the installed sink (none installed:
+/// no-op).
+pub fn always(msg: &str) {
+    if let Some(sink) = SINK.get() {
+        sink.always(msg);
+    }
 }
 
 /// Writes heartbeat lines to stderr, at most one per `min_interval` for
@@ -119,10 +136,40 @@ mod tests {
         assert_eq!(fmt_bytes(1_675_669_504), "1.6 GiB");
     }
 
+    /// Keeps every line it is handed, tagged with the call it came from.
+    struct Recorder(std::sync::Arc<Mutex<Vec<String>>>);
+
+    impl ProgressSink for Recorder {
+        fn event(&self, msg: &str) {
+            self.0.lock().unwrap().push(format!("event {msg}"));
+        }
+        fn always(&self, msg: &str) {
+            self.0.lock().unwrap().push(format!("always {msg}"));
+        }
+    }
+
+    // The only test touching the global sink: the before-install half must
+    // run before any install in this process.
     #[test]
-    fn null_sink_accepts_everything() {
-        NullSink.event("x");
-        NullSink.always("y");
+    fn global_sink_receives_lines_only_once_installed() {
+        event("before install");
+        always("before install");
+        let lines = std::sync::Arc::new(Mutex::new(Vec::new()));
+        assert!(install(Box::new(Recorder(lines.clone()))));
+        assert!(
+            !install(Box::new(Recorder(lines.clone()))),
+            "a second install is refused"
+        );
+        always("milestone");
+        event("heartbeat");
+        assert_eq!(
+            *lines.lock().unwrap(),
+            vec![
+                "always milestone".to_string(),
+                "event heartbeat".to_string()
+            ],
+            "lines emitted before install went nowhere"
+        );
     }
 
     #[test]

@@ -329,7 +329,7 @@ pub fn run_churn_with_balancing<R: Rng>(
         }
         BalEvent::Balance => {
             let report = balancer
-                .run(net, loads, None, rng)
+                .run(net, loads, None, rng, &mut proxbal_trace::Trace::disabled())
                 .expect("attached network");
             stats.balance_passes += 1;
             stats.total_moved += proxbal_core::total_moved_load(&report.transfers);

@@ -1,5 +1,5 @@
 //! A minimal discrete-event engine: a time-ordered queue with stable FIFO
-//! tie-breaking, used by the churn and latency simulations.
+//! tie-breaking, used by the churn simulation and the protocol DES.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -22,9 +22,8 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The default schedule of the fault-injected protocol sims: 30 latency
-    /// units base (the reliable sims' retransmit interval), doubling, give
-    /// up after 5 retries.
+    /// The default schedule of the protocol DES: 30 latency units base,
+    /// doubling, give up after 5 retries.
     pub fn protocol_default() -> Self {
         RetryPolicy {
             base_timeout: 30,

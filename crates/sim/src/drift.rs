@@ -123,7 +123,13 @@ pub fn run_drift<R: Rng>(
         let mut moved = 0.0;
         if (step + 1) % cfg.rebalance_every == 0 {
             let report = balancer
-                .run(net, loads, underlay, rng)
+                .run(
+                    net,
+                    loads,
+                    underlay,
+                    rng,
+                    &mut proxbal_trace::Trace::disabled(),
+                )
                 .expect("attached network");
             moved = proxbal_core::total_moved_load(&report.transfers);
             stats.total_moved += moved;
@@ -256,7 +262,13 @@ mod tests {
         // One initial balance, then pure drift.
         let balancer = LoadBalancer::new(BalancerConfig::default());
         let _ = balancer
-            .run(&mut net, &mut loads, None, &mut rng)
+            .run(
+                &mut net,
+                &mut loads,
+                None,
+                &mut rng,
+                &mut proxbal_trace::Trace::disabled(),
+            )
             .expect("attached network");
         let balanced = heavy_count(&net, &loads, BalancerConfig::default().epsilon);
         let cfg = DriftConfig {

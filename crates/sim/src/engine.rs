@@ -31,12 +31,11 @@ use crate::faults::{
     simulate_aggregation_faulty_traced, simulate_dissemination_faulty_traced, FaultPlan,
     FaultSource,
 };
-use crate::protocol::{ProtocolError, ProtocolScratch};
+use crate::protocol::ProtocolScratch;
 use crate::Prepared;
 use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_core::{total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache};
 use proxbal_ktree::{KTree, KtNodeId, RepairStats};
-use proxbal_profile::{NullSink, ProgressSink};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -266,29 +265,6 @@ impl EngineReport {
     }
 }
 
-fn to_core(e: ProtocolError) -> Error {
-    match e {
-        ProtocolError::UnattachedPeer(p) => Error::UnattachedPeer(p),
-        // The remaining variants can't arise from the engine's own drivers
-        // today, but map them faithfully so a protocol failure is never
-        // reported as an empty network.
-        ProtocolError::InvalidLossProbability(_) => Error::Protocol {
-            phase: "loss-model",
-            reached: 0,
-            expected: 0,
-        },
-        ProtocolError::Incomplete {
-            phase,
-            reached,
-            expected,
-        } => Error::Protocol {
-            phase,
-            reached,
-            expected,
-        },
-    }
-}
-
 /// Runs the continuous-operation engine over a prepared scenario. Event
 /// sources come from the scenario itself (`churn`, `drift`, `faults`); the
 /// engine composes them with tree maintenance and periodic + emergency
@@ -300,24 +276,14 @@ pub fn run_engine(prepared: &mut Prepared, cfg: &EngineConfig) -> Result<EngineR
 
 /// Like [`run_engine`], recording one relabelled child trace per epoch
 /// (`epoch0`, `epoch1`, …) absorbed in order — the same idiom as
-/// [`crate::parallel::map_indexed_traced`], so traces stay deterministic.
+/// [`proxbal_parallel::map_indexed_traced`], so traces stay deterministic.
+/// Each epoch also emits one heartbeat line (epoch k/N, heavy count, alive
+/// peers) through the global [`proxbal_profile::progress`] sink, which
+/// never touches the time series or the trace.
 pub fn run_engine_traced(
     prepared: &mut Prepared,
     cfg: &EngineConfig,
     trace: &mut Trace,
-) -> Result<EngineReport, Error> {
-    run_engine_with(prepared, cfg, trace, &NullSink)
-}
-
-/// Like [`run_engine_traced`], additionally emitting one heartbeat line per
-/// epoch (epoch k/N, heavy count, alive peers) through `progress`.
-/// Heartbeats go to the sink (stderr in practice), never stdout, so they
-/// cannot perturb the deterministic time series or trace.
-pub fn run_engine_with(
-    prepared: &mut Prepared,
-    cfg: &EngineConfig,
-    trace: &mut Trace,
-    progress: &dyn ProgressSink,
 ) -> Result<EngineReport, Error> {
     cfg.validate()?;
     let scenario = prepared.scenario.clone();
@@ -474,8 +440,7 @@ pub fn run_engine_with(
                     &[],
                     scratch,
                     &mut tr,
-                )
-                .map_err(to_core)?;
+                )?;
                 let dis = simulate_dissemination_faulty_traced(
                     &prepared.net,
                     &tree,
@@ -485,8 +450,7 @@ pub fn run_engine_with(
                     &[],
                     scratch,
                     &mut tr,
-                )
-                .map_err(to_core)?;
+                )?;
                 des_messages = agg.timing.messages + dis.timing.messages;
                 des_retries = agg.retries + dis.retries;
             }
@@ -507,7 +471,7 @@ pub fn run_engine_with(
             let underlay = prepared.underlay();
             let passes_done = loop {
                 passes += 1;
-                let round = match balancer.run_round_traced(
+                let round = match balancer.run_round(
                     &mut net,
                     &mut loads,
                     &mut tree,
@@ -594,7 +558,7 @@ pub fn run_engine_with(
         report.total_transfers += transfers;
         report.total_messages += messages;
 
-        progress.event(&format!(
+        proxbal_profile::progress::event(&format!(
             "engine: epoch {}/{} heavy={heavy} alive={alive_peers}",
             epoch + 1,
             cfg.epochs
@@ -611,36 +575,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn to_core_preserves_protocol_failures() {
-        assert_eq!(
-            to_core(ProtocolError::UnattachedPeer(PeerId(7))),
-            Error::UnattachedPeer(PeerId(7))
-        );
-        assert_eq!(
-            to_core(ProtocolError::InvalidLossProbability(1.5)),
-            Error::Protocol {
-                phase: "loss-model",
-                reached: 0,
-                expected: 0,
-            }
-        );
-        let mapped = to_core(ProtocolError::Incomplete {
-            phase: "aggregation",
-            reached: 3,
-            expected: 9,
-        });
-        assert_eq!(
-            mapped,
-            Error::Protocol {
-                phase: "aggregation",
-                reached: 3,
-                expected: 9,
-            }
-        );
-        // The whole point of the variant: a protocol failure must not
-        // masquerade as an empty network.
-        assert_ne!(mapped, Error::EmptyNetwork);
-        assert!(mapped.to_string().contains("covered 3 of 9"));
+    fn unattached_peer_surfaces_as_typed_error() {
+        // The DES shadow meets the detached peer first and reports it as
+        // the core error, never as an empty network.
+        let mut prepared = crate::Scenario::builder()
+            .small()
+            .peers(64)
+            .topology(crate::TopologyKind::Tiny)
+            .faults(crate::faults::FaultConfig::none(3))
+            .seed(3)
+            .build()
+            .prepare();
+        for p in prepared.net.alive_peers() {
+            prepared.net.attach(p, u32::MAX);
+        }
+        let cfg = EngineConfig {
+            epochs: 1,
+            ..EngineConfig::default()
+        };
+        let err = run_engine(&mut prepared, &cfg).unwrap_err();
+        assert!(matches!(err, Error::UnattachedPeer(_)), "{err:?}");
+        assert!(err.to_string().contains("no underlay attachment"));
     }
 
     fn tiny_report() -> EngineReport {

@@ -4,10 +4,11 @@
 use crate::metrics::DistanceHistogram;
 use crate::scenario::{Prepared, Scenario};
 use proxbal_core::{
-    BalanceReport, BalancerConfig, ClassifyParams, LoadBalancer, NodeClass, ProximityMode,
+    BalanceReport, BalancerConfig, ClassifyParams, DirtySet, LoadBalancer, NodeClass,
+    ProximityMode, RoundCache,
 };
 use proxbal_ktree::KTree;
-use proxbal_profile::{NullSink, ProgressSink};
+use proxbal_profile::progress;
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -23,14 +24,9 @@ pub struct Fig4Output {
     pub report: BalanceReport,
 }
 
-/// Runs the Figure-4 experiment on a prepared scenario.
-pub fn fig4_unit_load(prepared: &mut Prepared) -> Fig4Output {
-    fig4_unit_load_traced(prepared, &mut Trace::disabled())
-}
-
-/// [`fig4_unit_load`] recording the balancer's phase spans and counters
-/// into `trace`.
-pub fn fig4_unit_load_traced(prepared: &mut Prepared, trace: &mut Trace) -> Fig4Output {
+/// Runs the Figure-4 experiment on a prepared scenario, recording the
+/// balancer's phase spans and counters into `trace`.
+pub fn fig4_unit_load(prepared: &mut Prepared, trace: &mut Trace) -> Fig4Output {
     let peers = prepared.net.alive_peers();
     let before: Vec<f64> = peers
         .iter()
@@ -62,7 +58,7 @@ fn run_in_place(
     let mut net = std::mem::take(&mut prepared.net);
     let mut loads = std::mem::take(&mut prepared.loads);
     let report = LoadBalancer::new(prepared.scenario.balancer)
-        .run_traced(&mut net, &mut loads, prepared.underlay(), rng, trace)
+        .run(&mut net, &mut loads, prepared.underlay(), rng, trace)
         .expect("attached network");
     prepared.net = net;
     prepared.loads = loads;
@@ -84,14 +80,9 @@ pub struct ClassLoadsOutput {
 }
 
 /// Runs the Figure-5/6 experiment (the workload in `prepared` selects
-/// which figure).
-pub fn fig56_class_loads(prepared: &mut Prepared) -> ClassLoadsOutput {
-    fig56_class_loads_traced(prepared, &mut Trace::disabled())
-}
-
-/// [`fig56_class_loads`] recording the balancer's phase spans and counters
-/// into `trace`.
-pub fn fig56_class_loads_traced(prepared: &mut Prepared, trace: &mut Trace) -> ClassLoadsOutput {
+/// which figure), recording the balancer's phase spans and counters into
+/// `trace`.
+pub fn fig56_class_loads(prepared: &mut Prepared, trace: &mut Trace) -> ClassLoadsOutput {
     let classes = prepared.scenario.capacity.class_count();
     let class_capacity: Vec<f64> = (0..classes)
         .map(|c| {
@@ -140,14 +131,9 @@ pub struct MovedLoadOutput {
 }
 
 /// Runs both modes from identical initial conditions and returns the two
-/// distance histograms.
-pub fn fig78_moved_load(prepared: &Prepared) -> MovedLoadOutput {
-    fig78_moved_load_traced(prepared, &mut Trace::disabled())
-}
-
-/// [`fig78_moved_load`] recording each mode's run on its own child track
+/// distance histograms, recording each mode's run on its own child track
 /// (`aware` / `ignorant`) of `trace`.
-pub fn fig78_moved_load_traced(prepared: &Prepared, trace: &mut Trace) -> MovedLoadOutput {
+pub fn fig78_moved_load(prepared: &Prepared, trace: &mut Trace) -> MovedLoadOutput {
     let underlay = prepared.underlay().expect("figure 7/8 requires a topology");
 
     let run = |mode: ProximityMode, label: u64, name: &str, trace: &mut Trace| {
@@ -161,7 +147,7 @@ pub fn fig78_moved_load_traced(prepared: &Prepared, trace: &mut Trace) -> MovedL
         let balancer = LoadBalancer::new(cfg);
         let mut rng = prepared.derived_rng(label);
         let report = balancer
-            .run_traced(&mut net, &mut loads, Some(underlay), &mut rng, &mut child)
+            .run(&mut net, &mut loads, Some(underlay), &mut rng, &mut child)
             .expect("attached network");
         trace.absorb(child);
         let mut hist = DistanceHistogram::new();
@@ -211,14 +197,9 @@ pub struct RoundsRow {
 /// Every `(peers, k)` grid cell is an independent scenario whose seed and
 /// RNG streams derive from the cell alone, so the sweep runs through the
 /// parallel engine and the rows come back in grid order regardless of
-/// `threads`.
-pub fn rounds_scaling(sizes: &[usize], ks: &[usize], seed: u64, threads: usize) -> Vec<RoundsRow> {
-    rounds_scaling_traced(sizes, ks, seed, threads, &mut Trace::disabled())
-}
-
-/// [`rounds_scaling`] recording each grid cell's balancer run on its own
-/// child track (`n{peers}_k{k}`) of `trace`, absorbed in grid order.
-pub fn rounds_scaling_traced(
+/// `threads`. Each grid cell's balancer run lands on its own child track
+/// (`n{peers}_k{k}`) of `trace`, absorbed in grid order.
+pub fn rounds_scaling(
     sizes: &[usize],
     ks: &[usize],
     seed: u64,
@@ -229,7 +210,7 @@ pub fn rounds_scaling_traced(
         .iter()
         .flat_map(|&peers| ks.iter().map(move |&k| (peers, k)))
         .collect();
-    crate::parallel::map_items_traced(&cells, threads, trace, |_, &(peers, k), trace| {
+    proxbal_parallel::map_items_traced(&cells, threads, trace, |_, &(peers, k), trace| {
         trace.relabel(&format!("n{peers}_k{k}"));
         let mut scenario = Scenario::builder()
             .small()
@@ -245,7 +226,7 @@ pub fn rounds_scaling_traced(
         let balancer = LoadBalancer::new(prepared.scenario.balancer);
         let mut rng = prepared.derived_rng(1000 + k as u64);
         let report = balancer
-            .run_traced(
+            .run(
                 &mut prepared.net,
                 &mut prepared.loads,
                 None,
@@ -286,15 +267,11 @@ pub struct RepairRow {
 }
 
 /// Crashes a fraction of peers at once, repairs, re-joins the same number
-/// of peers, and repairs again, measuring maintenance rounds for both waves.
-pub fn repair_after_crash(peers: usize, crash_fraction: f64, k: usize, seed: u64) -> RepairRow {
-    repair_after_crash_traced(peers, crash_fraction, k, seed, &mut Trace::disabled())
-}
-
-/// [`repair_after_crash`] recording both maintenance waves as `kt/maintain`
-/// spans (crash repair first, regrowth second, laid end to end on the
-/// round timeline) plus `crashed_peers` / `rejoined_peers` counters.
-pub fn repair_after_crash_traced(
+/// of peers, and repairs again, measuring maintenance rounds for both
+/// waves. Both waves land on `trace` as `kt/maintain` spans (crash repair
+/// first, regrowth second, laid end to end on the round timeline) plus
+/// `crashed_peers` / `rejoined_peers` counters.
+pub fn repair_after_crash(
     peers: usize,
     crash_fraction: f64,
     k: usize,
@@ -370,7 +347,7 @@ pub fn scheme_comparison(prepared: &Prepared) -> SchemeComparison {
     let balancer = LoadBalancer::new(prepared.scenario.balancer);
     let mut rng = prepared.derived_rng(91);
     let report = balancer
-        .run(&mut net, &mut loads, None, &mut rng)
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
         .expect("attached network");
     let gini_tree = gini(&unit_loads(&net, &loads));
 
@@ -409,15 +386,11 @@ pub struct ReplicatedMovedLoad {
 }
 
 /// Runs [`fig78_moved_load`] on `graphs` independently seeded scenarios in
-/// parallel and pools the histograms.
-pub fn fig78_replicated(base: &Scenario, graphs: usize, threads: usize) -> ReplicatedMovedLoad {
-    fig78_replicated_traced(base, graphs, threads, &mut Trace::disabled())
-}
-
-/// [`fig78_replicated`] recording each graph's aware/ignorant runs under a
-/// `graph{i}` child track of `trace`, absorbed in graph-index order (so the
-/// merged event stream is bit-identical at any thread count).
-pub fn fig78_replicated_traced(
+/// parallel and pools the histograms. Each graph's aware/ignorant runs land
+/// under a `graph{i}` child track of `trace`, absorbed in graph-index
+/// order (so the merged event stream is bit-identical at any thread
+/// count).
+pub fn fig78_replicated(
     base: &Scenario,
     graphs: usize,
     threads: usize,
@@ -427,12 +400,12 @@ pub fn fig78_replicated_traced(
     // determinism contract holds and the pooled result is independent of
     // `threads`.
     let outputs: Vec<MovedLoadOutput> =
-        crate::parallel::map_indexed_traced(graphs, threads, trace, |i, trace| {
+        proxbal_parallel::map_indexed_traced(graphs, threads, trace, |i, trace| {
             trace.relabel(&format!("graph{i}"));
             let mut scenario = base.clone();
             scenario.seed = base.seed.wrapping_add(i as u64);
             let prepared = scenario.prepare();
-            fig78_moved_load_traced(&prepared, trace)
+            fig78_moved_load(&prepared, trace)
         });
 
     let mut pooled = ReplicatedMovedLoad {
@@ -482,18 +455,9 @@ pub struct AblationRow {
 /// Each variant clones the prepared initial state and derives its RNG from
 /// the scenario seed alone, so the variants run through the parallel
 /// engine and the rows come back in declaration order regardless of
-/// `threads`.
-pub fn ablation_sweep(prepared: &Prepared, threads: usize) -> Vec<AblationRow> {
-    ablation_sweep_traced(prepared, threads, &mut Trace::disabled())
-}
-
-/// [`ablation_sweep`] recording each variant's balancer run on its own
-/// child track (the variant label), absorbed in declaration order.
-pub fn ablation_sweep_traced(
-    prepared: &Prepared,
-    threads: usize,
-    trace: &mut Trace,
-) -> Vec<AblationRow> {
+/// `threads`. Each variant's balancer run lands on its own child track
+/// (the variant label) of `trace`, absorbed in declaration order.
+pub fn ablation_sweep(prepared: &Prepared, threads: usize, trace: &mut Trace) -> Vec<AblationRow> {
     use proxbal_core::ProximityParams;
     use proxbal_hilbert::CurveKind;
 
@@ -562,13 +526,13 @@ pub fn ablation_sweep_traced(
         },
     ));
 
-    crate::parallel::map_items_traced(&variants, threads, trace, |_, (label, cfg), trace| {
+    proxbal_parallel::map_items_traced(&variants, threads, trace, |_, (label, cfg), trace| {
         trace.relabel(label);
         let mut net = prepared.net.clone();
         let mut loads = prepared.loads.clone();
         let mut rng = prepared.derived_rng(0xAB1A);
         let report = LoadBalancer::new(*cfg)
-            .run_traced(&mut net, &mut loads, Some(underlay), &mut rng, trace)
+            .run(&mut net, &mut loads, Some(underlay), &mut rng, trace)
             .expect("attached network");
         let mut hist = DistanceHistogram::new();
         for t in &report.transfers {
@@ -605,22 +569,16 @@ pub struct LatencyRow {
 }
 
 /// Simulates the tree phases at the message level across sizes/degrees and
-/// loss rates (the wall-clock behind "fast load balancing").
+/// loss rates (the wall-clock behind "fast load balancing"), through the
+/// fault DES: per rate, a [`FaultConfig`](crate::faults::FaultConfig) with
+/// that message loss and nothing else (no delays, crashes or stale links)
+/// and
+/// [`RetryPolicy::protocol_default`](crate::des::RetryPolicy::protocol_default).
+/// Each `(peers, k)` cell is recorded on its own child track
+/// (`n{peers}_k{k}`) of `trace`: one `des/aggregation` +
+/// `des/dissemination` span pair per loss rate, laid end to end on the
+/// cell's simulated timeline, plus the DES counters and histograms.
 pub fn protocol_latency(
-    sizes: &[usize],
-    ks: &[usize],
-    losses: &[f64],
-    seed: u64,
-    threads: usize,
-) -> Vec<LatencyRow> {
-    protocol_latency_traced(sizes, ks, losses, seed, threads, &mut Trace::disabled())
-}
-
-/// [`protocol_latency`] recording each `(peers, k)` cell on its own child
-/// track (`n{peers}_k{k}`): one `des/aggregation` + `des/dissemination`
-/// span pair per loss rate, laid end to end on the cell's simulated
-/// timeline, plus the DES counters/histograms of the message-level sims.
-pub fn protocol_latency_traced(
     sizes: &[usize],
     ks: &[usize],
     losses: &[f64],
@@ -628,10 +586,13 @@ pub fn protocol_latency_traced(
     threads: usize,
     trace: &mut Trace,
 ) -> Vec<LatencyRow> {
-    use crate::protocol::{
-        simulate_aggregation_traced_in, simulate_dissemination_traced_in, LossModel,
-        ProtocolScratch,
+    use crate::des::RetryPolicy;
+    use crate::faults::{
+        simulate_aggregation_faulty_traced, simulate_dissemination_faulty_traced, FaultConfig,
+        FaultPlan,
     };
+    use crate::protocol::ProtocolScratch;
+    let retry = RetryPolicy::protocol_default();
     let mut rows = Vec::new();
     for &peers in sizes {
         let mut scenario = Scenario::builder().seed(seed ^ peers as u64).build();
@@ -639,12 +600,11 @@ pub fn protocol_latency_traced(
         scenario.topology = crate::TopologyKind::Ts5kLarge;
         let prepared = scenario.prepare();
         let oracle = prepared.oracle.as_ref().expect("topology present");
-        // Each k builds its own tree and derives a fresh per-k RNG, so the
+        // Each k builds its own tree and derives its own plan seed, so the
         // k-cells run through the parallel engine; the loss loop stays
         // sequential inside each cell to reuse the tree — and one scratch
-        // per cell, so the 100k+-message lossy runs allocate nothing per
-        // event and ask the oracle for each tree edge only once.
-        let per_k = crate::parallel::map_items_traced(ks, threads, trace, |_, &k, trace| {
+        // per cell, so the oracle is asked for each tree edge only once.
+        let per_k = proxbal_parallel::map_items_traced(ks, threads, trace, |_, &k, trace| {
             trace.relabel(&format!("n{peers}_k{k}"));
             let tree = KTree::build(&prepared.net, k);
             let mut contributors: Vec<_> = prepared
@@ -660,27 +620,26 @@ pub fn protocol_latency_traced(
             // Simulated clock of this cell's track: the per-loss phase
             // pairs are laid end to end so the spans never overlap.
             let mut clock: u64 = 0;
+            // Every rate replays the same fate stream of this cell.
+            let plan_seed = prepared.scenario.seed ^ 0x1A7 ^ ((k as u64) << 8);
             for &loss in losses {
-                let model = if loss == 0.0 {
-                    LossModel::reliable()
-                } else {
-                    LossModel {
-                        loss_probability: loss,
-                        retransmit_after: 30,
-                    }
-                };
-                let mut rng = prepared.derived_rng(0x1A7 ^ (k as u64) << 8);
-                let agg = simulate_aggregation_traced_in(
+                let mut plan = FaultPlan::new(FaultConfig {
+                    loss_rate: loss,
+                    ..FaultConfig::none(plan_seed)
+                });
+                let agg = simulate_aggregation_faulty_traced(
                     &prepared.net,
                     &tree,
                     oracle,
                     &contributors,
-                    &model,
-                    &mut rng,
+                    &mut plan,
+                    retry,
+                    &[],
                     &mut scratch,
                     trace,
                 )
-                .expect("scenario peers are attached");
+                .expect("scenario peers are attached")
+                .timing;
                 trace.span_args(
                     "des/aggregation",
                     clock,
@@ -691,16 +650,18 @@ pub fn protocol_latency_traced(
                     ],
                 );
                 clock += agg.completion;
-                let dis = simulate_dissemination_traced_in(
+                let dis = simulate_dissemination_faulty_traced(
                     &prepared.net,
                     &tree,
                     oracle,
-                    &model,
-                    &mut rng,
+                    &mut plan,
+                    retry,
+                    &[],
                     &mut scratch,
                     trace,
                 )
-                .expect("scenario peers are attached");
+                .expect("scenario peers are attached")
+                .timing;
                 trace.span_args(
                     "des/dissemination",
                     clock,
@@ -757,20 +718,37 @@ pub struct XlRunSummary {
     pub lbi_messages: usize,
     /// VSA record·hop units.
     pub vsa_record_hops: usize,
-    /// Wall-clock seconds for this run (clone + four phases).
+    /// Wall-clock seconds for this run (clone + four phases). Per-phase
+    /// walls live in the profiler's `round/*` rows.
     pub wall_s: f64,
-    /// Wall-clock seconds of phase 1a: LBI generation + report rebinding.
-    pub lbi_wall_s: f64,
-    /// Wall-clock seconds of phase 1b: tree aggregation of the LBIs.
-    pub aggregate_wall_s: f64,
-    /// Wall-clock seconds of phases 2–3: dissemination, classification and
-    /// the VSA sweep (including shed/light extraction).
-    pub vsa_wall_s: f64,
-    /// Wall-clock seconds of phase 4: transfer execution, including
-    /// exact distance accounting.
-    pub transfer_wall_s: f64,
     /// Moved-load-vs-distance histogram (the Figure-7 curve).
     pub histogram: DistanceHistogram,
+}
+
+impl XlRunSummary {
+    /// Condenses one pass's report; `wall_s` is the caller's measurement.
+    fn of(label: &str, report: &BalanceReport, wall_s: f64) -> Self {
+        let mut histogram = DistanceHistogram::new();
+        for tr in &report.transfers {
+            histogram.add(tr.distance.expect("underlay present"), tr.assignment.load);
+        }
+        XlRunSummary {
+            label: label.to_string(),
+            heavy_before: report.before.get(&NodeClass::Heavy).copied().unwrap_or(0),
+            heavy_after: report.heavy_after(),
+            transfers: report.transfers.len(),
+            moved_load: proxbal_core::total_moved_load(&report.transfers),
+            frac2: histogram.fraction_within(2),
+            frac10: histogram.fraction_within(10),
+            mean_distance: histogram.mean_distance(),
+            lbi_rounds: report.lbi_rounds,
+            vsa_rounds: report.vsa.rounds,
+            lbi_messages: report.messages.lbi_messages,
+            vsa_record_hops: report.messages.vsa_record_hops,
+            wall_s,
+            histogram,
+        }
+    }
 }
 
 /// Result of the xl-scale end-to-end pass.
@@ -795,39 +773,18 @@ pub struct XlScaleOutput {
 /// The xl-scale pass: prepares the xl preset (65,536 peers over a ~50k
 /// underlay) with a bounded oracle cache, then runs the full four-phase
 /// balancer twice from identical initial state — proximity-aware and
-/// proximity-ignorant, the Figure-7 comparison shape. Deterministic for a
-/// given seed; the cache bound changes memory behaviour only.
-pub fn xl_scale(seed: u64) -> XlScaleOutput {
-    xl_scale_traced(
-        seed,
-        crate::parallel::default_threads(),
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`xl_scale`] recording each mode's four-phase run on its own child
-/// track (`aware` / `ignorant`) of `trace`, with `threads` worker threads
-/// inside each balancing round (purely a performance knob — the output is
-/// byte-identical at any count).
-pub fn xl_scale_traced(seed: u64, threads: usize, trace: &mut Trace) -> XlScaleOutput {
-    xl_scale_run(seed, threads, trace, &NullSink)
-}
-
-/// [`xl_scale_traced`] with heartbeat lines on `progress` after the
-/// preparation and after each mode's run. Heartbeats go to the sink
-/// (stderr for the CLI), never to stdout, so enabling them cannot perturb
-/// the deterministic report output.
-pub fn xl_scale_run(
-    seed: u64,
-    threads: usize,
-    trace: &mut Trace,
-    progress: &dyn ProgressSink,
-) -> XlScaleOutput {
+/// proximity-ignorant, the Figure-7 comparison shape. Each mode's run lands
+/// on its own child track (`aware` / `ignorant`) of `trace`; `threads`
+/// workers run inside each balancing round (purely a performance knob —
+/// the output is byte-identical at any count). Heartbeat lines after the
+/// preparation and after each mode's run go to the global
+/// [`proxbal_profile::progress`] sink, never to stdout.
+pub fn xl_scale(seed: u64, threads: usize, trace: &mut Trace) -> XlScaleOutput {
     let scenario = Scenario::builder().xl().seed(seed).build();
     let t0 = std::time::Instant::now();
-    let prepared = scenario.prepare_run(threads, progress);
+    let prepared = scenario.prepare_threads(threads);
     let prepare_wall_s = t0.elapsed().as_secs_f64();
-    progress.always(&format!(
+    progress::always(&format!(
         "xl: prepared {} peers in {prepare_wall_s:.1}s",
         prepared.net.alive_peers().len()
     ));
@@ -843,45 +800,12 @@ pub fn xl_scale_run(
             ..prepared.scenario.balancer
         };
         let mut rng = prepared.derived_rng(label);
-        let mut tree = KTree::build(&net, cfg.k);
-        let mut walls = proxbal_core::RoundWalls::default();
         let report = LoadBalancer::new(cfg)
             .with_threads(threads)
-            .run_with_tree_walls(
-                &mut net,
-                &mut loads,
-                &mut tree,
-                Some(underlay),
-                &mut rng,
-                &mut child,
-                &mut walls,
-            )
+            .run(&mut net, &mut loads, Some(underlay), &mut rng, &mut child)
             .expect("attached network");
         trace.absorb(child);
-        let mut histogram = DistanceHistogram::new();
-        for tr in &report.transfers {
-            histogram.add(tr.distance.expect("underlay present"), tr.assignment.load);
-        }
-        XlRunSummary {
-            label: name.to_string(),
-            heavy_before: report.before.get(&NodeClass::Heavy).copied().unwrap_or(0),
-            heavy_after: report.heavy_after(),
-            transfers: report.transfers.len(),
-            moved_load: proxbal_core::total_moved_load(&report.transfers),
-            frac2: histogram.fraction_within(2),
-            frac10: histogram.fraction_within(10),
-            mean_distance: histogram.mean_distance(),
-            lbi_rounds: report.lbi_rounds,
-            vsa_rounds: report.vsa.rounds,
-            lbi_messages: report.messages.lbi_messages,
-            vsa_record_hops: report.messages.vsa_record_hops,
-            wall_s: t.elapsed().as_secs_f64(),
-            lbi_wall_s: walls.lbi_wall_s,
-            aggregate_wall_s: walls.aggregate_wall_s,
-            vsa_wall_s: walls.vsa_wall_s,
-            transfer_wall_s: walls.transfer_wall_s,
-            histogram,
-        }
+        XlRunSummary::of(name, &report, t.elapsed().as_secs_f64())
     };
 
     // Same labels as the full-scale Figure-7 runs (78 = aware, 79 =
@@ -892,12 +816,12 @@ pub fn xl_scale_run(
         "aware",
         trace,
     );
-    progress.always(&format!(
+    progress::always(&format!(
         "xl: aware run done in {:.1}s (heavy {} -> {})",
         aware.wall_s, aware.heavy_before, aware.heavy_after
     ));
     let ignorant = run(ProximityMode::Ignorant, 79, "ignorant", trace);
-    progress.always(&format!(
+    progress::always(&format!(
         "xl: ignorant run done in {:.1}s (heavy {} -> {})",
         ignorant.wall_s, ignorant.heavy_before, ignorant.heavy_after
     ));
@@ -949,49 +873,26 @@ pub struct Xl2ScaleOutput {
     pub aware: XlRunSummary,
 }
 
-/// The xl2 pass: the [`ScenarioBuilder::xl2`](crate::ScenarioBuilder::xl2)
-/// preset (1,048,576 peers, sharded preparation, exact transfer distances)
-/// through one proximity-aware four-phase run, executed
-/// **in place** — no overlay/load clone — so the peak footprint stays within
-/// the xl budget.
-pub fn xl2_scale(seed: u64) -> Xl2ScaleOutput {
-    xl2_scale_traced(seed, &mut Trace::disabled())
-}
-
-/// [`xl2_scale`] recording the run on an `aware` child track of `trace`.
-pub fn xl2_scale_traced(seed: u64, trace: &mut Trace) -> Xl2ScaleOutput {
-    xl2_scale_with(
-        Scenario::builder().xl2().seed(seed).build(),
-        crate::parallel::default_threads(),
-        trace,
-    )
-}
-
-/// The xl2 shape over an explicit scenario and worker-thread count — the
-/// entry point the reduced-scale smoke and determinism runs share with the
-/// full-scale pass. Everything except the `*_wall_s` fields is a pure
-/// function of `scenario`: sharded preparation, the sharded tree build and
-/// the intra-round parallel sections of the balancing pass all chunk
+/// The xl2 pass over an explicit scenario — the
+/// [`ScenarioBuilder::xl2`](crate::ScenarioBuilder::xl2) preset at full
+/// scale (1,048,576 peers, sharded preparation, exact transfer distances),
+/// or a reduced-peers variant for smoke and determinism runs — through one
+/// proximity-aware four-phase run, executed **in place** (no overlay/load
+/// clone) so the peak footprint stays within the xl budget. The run lands
+/// on an `aware` child track of `trace`.
+///
+/// Everything except the `*_wall_s` fields is a pure function of
+/// `scenario`: sharded preparation, the sharded tree build and the
+/// intra-round parallel sections of the balancing pass all chunk
 /// deterministically and merge in index order, so the result is
-/// independent of `threads`.
-pub fn xl2_scale_with(scenario: Scenario, threads: usize, trace: &mut Trace) -> Xl2ScaleOutput {
-    xl2_scale_run(scenario, threads, trace, &NullSink)
-}
-
-/// [`xl2_scale_with`] with heartbeat lines on `progress` after sharded
-/// preparation, after the sharded tree build, and after the balancing run.
-/// Heartbeats go to the sink (stderr for the CLI), never to stdout, so the
-/// deterministic report output is unaffected.
-pub fn xl2_scale_run(
-    scenario: Scenario,
-    threads: usize,
-    trace: &mut Trace,
-    progress: &dyn ProgressSink,
-) -> Xl2ScaleOutput {
+/// independent of `threads`. Heartbeat lines after preparation, the tree
+/// build and the run go to the global [`proxbal_profile::progress`] sink,
+/// never to stdout.
+pub fn xl2_scale(scenario: Scenario, threads: usize, trace: &mut Trace) -> Xl2ScaleOutput {
     let t0 = std::time::Instant::now();
-    let mut prepared = scenario.prepare_run(threads, progress);
+    let mut prepared = scenario.prepare_threads(threads);
     let prepare_wall_s = t0.elapsed().as_secs_f64();
-    progress.always(&format!(
+    progress::always(&format!(
         "xl2: prepared {} peers ({} virtual servers) in {prepare_wall_s:.1}s",
         prepared.net.alive_peers().len(),
         prepared.net.ring().len()
@@ -1005,7 +906,7 @@ pub fn xl2_scale_run(
         threads,
     );
     let tree_wall_s = t1.elapsed().as_secs_f64();
-    progress.always(&format!(
+    progress::always(&format!(
         "xl2: KT tree built ({} nodes) in {tree_wall_s:.1}s",
         tree.len()
     ));
@@ -1018,52 +919,29 @@ pub fn xl2_scale_run(
     };
     // Label 78 = aware, matching the xl / Figure-7 RNG stream naming.
     let mut rng = prepared.derived_rng(78);
-    let mut walls = proxbal_core::RoundWalls::default();
     // In place, no clone: the overlay and loads move out of `prepared` for
     // the run because the underlay view borrows it.
     let mut net = std::mem::take(&mut prepared.net);
     let mut loads = std::mem::take(&mut prepared.loads);
     let report = LoadBalancer::new(cfg)
         .with_threads(threads)
-        .run_with_tree_walls(
+        .run_round(
             &mut net,
             &mut loads,
             &mut tree,
             Some(prepared.underlay().expect("xl2 runs over a topology")),
+            &mut RoundCache::new(),
+            &DirtySet::All,
             &mut rng,
             &mut child,
-            &mut walls,
         )
         .expect("attached network");
     prepared.net = net;
     prepared.loads = loads;
     trace.absorb(child);
 
-    let mut histogram = DistanceHistogram::new();
-    for tr in &report.transfers {
-        histogram.add(tr.distance.expect("underlay present"), tr.assignment.load);
-    }
-    let aware = XlRunSummary {
-        label: "aware".to_string(),
-        heavy_before: report.before.get(&NodeClass::Heavy).copied().unwrap_or(0),
-        heavy_after: report.heavy_after(),
-        transfers: report.transfers.len(),
-        moved_load: proxbal_core::total_moved_load(&report.transfers),
-        frac2: histogram.fraction_within(2),
-        frac10: histogram.fraction_within(10),
-        mean_distance: histogram.mean_distance(),
-        lbi_rounds: report.lbi_rounds,
-        vsa_rounds: report.vsa.rounds,
-        lbi_messages: report.messages.lbi_messages,
-        vsa_record_hops: report.messages.vsa_record_hops,
-        wall_s: t.elapsed().as_secs_f64(),
-        lbi_wall_s: walls.lbi_wall_s,
-        aggregate_wall_s: walls.aggregate_wall_s,
-        vsa_wall_s: walls.vsa_wall_s,
-        transfer_wall_s: walls.transfer_wall_s,
-        histogram,
-    };
-    progress.always(&format!(
+    let aware = XlRunSummary::of("aware", &report, t.elapsed().as_secs_f64());
+    progress::always(&format!(
         "xl2: aware run done in {:.1}s (heavy {} -> {}, {} transfers)",
         aware.wall_s, aware.heavy_before, aware.heavy_after, aware.transfers
     ));
@@ -1140,42 +1018,27 @@ pub struct FaultSweepRow {
 /// a clone of the same prepared scenario, so the sweep is bit-identical at
 /// any thread count, and the whole row set is a pure function of
 /// `(scenario.seed, rates)`.
-pub fn fault_sweep(scenario: &Scenario, rates: &[f64], threads: usize) -> Vec<FaultSweepRow> {
-    fault_sweep_traced(scenario, rates, threads, &mut Trace::disabled())
-}
-
-/// [`fault_sweep`] recording each rate's cell on its own child track
-/// (`loss{rate}`): `des/aggregation` → `kt/repair` → `des/dissemination` →
+///
+/// Each rate's cell is recorded on its own child track (`loss{rate}`) of
+/// `trace`: `des/aggregation` → `kt/repair` → `des/dissemination` →
 /// `phase/vsa` spans laid end to end on the cell's simulated timeline, the
 /// DES retry/backoff counters and histograms of the faulty sims, the
 /// VSA/VST counters of the surviving-membership pass, and a closing
-/// `rate_summary` instant carrying the row's headline numbers.
-pub fn fault_sweep_traced(
+/// `rate_summary` instant carrying the row's headline numbers. A heartbeat
+/// line per finished cell goes to the global [`proxbal_profile::progress`]
+/// sink.
+pub fn fault_sweep(
     scenario: &Scenario,
     rates: &[f64],
     threads: usize,
     trace: &mut Trace,
-) -> Vec<FaultSweepRow> {
-    fault_sweep_run(scenario, rates, threads, trace, &NullSink)
-}
-
-/// [`fault_sweep_traced`] with a heartbeat line on `progress` as each
-/// rate cell completes. Cells run on worker threads, so the sink's `Sync`
-/// bound is what makes the shared reference sound; heartbeats go to the
-/// sink (stderr for the CLI), never to stdout.
-pub fn fault_sweep_run(
-    scenario: &Scenario,
-    rates: &[f64],
-    threads: usize,
-    trace: &mut Trace,
-    progress: &dyn ProgressSink,
 ) -> Vec<FaultSweepRow> {
     use crate::des::RetryPolicy;
     use crate::faults::{simulate_aggregation_faulty_traced, simulate_dissemination_faulty_traced};
     use crate::faults::{FaultConfig, FaultPlan};
     use crate::protocol::ProtocolScratch;
     use proxbal_core::reports::{ignorant_inputs, light_slots, shed_candidates};
-    use proxbal_core::{execute_transfers_with_requeue, run_vsa_traced, Classification, VsaParams};
+    use proxbal_core::{execute_transfers_with_requeue, run_vsa, Classification, VsaParams};
     use rand::SeedableRng;
 
     let prepared = scenario.prepare_threads(threads);
@@ -1184,7 +1047,7 @@ pub fn fault_sweep_run(
         .as_ref()
         .expect("fault sweep needs a topology");
 
-    crate::parallel::map_items_traced(rates, threads, trace, |_, &rate, trace| {
+    proxbal_parallel::map_items_traced(rates, threads, trace, |_, &rate, trace| {
         trace.relabel(&format!("loss{rate:.2}"));
         let mut net = prepared.net.clone();
         let mut loads = prepared.loads.clone();
@@ -1289,7 +1152,7 @@ pub fn fault_sweep_run(
             rendezvous_threshold: scenario.balancer.rendezvous_threshold,
             l_min: system.min_vs_load,
         };
-        let mut vsa = run_vsa_traced(&tree, inputs, &vsa_params, trace);
+        let mut vsa = run_vsa(&tree, inputs, &vsa_params, trace);
         trace.span_args(
             "phase/vsa",
             clock,
@@ -1355,7 +1218,7 @@ pub fn fault_sweep_run(
                 ("heavy_after", (row.heavy_after as u64).into()),
             ],
         );
-        progress.event(&format!(
+        progress::event(&format!(
             "faults: rate {rate:.2} done (agg {:.0}%, heavy {} -> {})",
             row.aggregation_completion * 100.0,
             row.heavy_before,
@@ -1379,7 +1242,7 @@ mod tests {
 
     #[test]
     fn fault_sweep_zero_rate_is_clean() {
-        let rows = fault_sweep(&sweep_scenario(), &[0.0], 1);
+        let rows = fault_sweep(&sweep_scenario(), &[0.0], 1, &mut Trace::disabled());
         let r = &rows[0];
         assert_eq!(r.crashed_peers, 0);
         assert_eq!(r.stale_links, 0);
@@ -1396,8 +1259,8 @@ mod tests {
     fn fault_sweep_is_thread_count_invariant() {
         let s = sweep_scenario();
         let rates = [0.0, 0.08];
-        let a = fault_sweep(&s, &rates, 1);
-        let b = fault_sweep(&s, &rates, 2);
+        let a = fault_sweep(&s, &rates, 1, &mut Trace::disabled());
+        let b = fault_sweep(&s, &rates, 2, &mut Trace::disabled());
         let ja = serde_json::to_string(&a).unwrap();
         let jb = serde_json::to_string(&b).unwrap();
         assert_eq!(ja, jb, "sweep must be bit-identical at any thread count");

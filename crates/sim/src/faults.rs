@@ -1,14 +1,19 @@
-//! Deterministic fault injection for the tree protocols.
+//! The message-level DES of the tree protocols, with deterministic fault
+//! injection.
 //!
-//! The reliable DES in [`crate::protocol`] assumes every message is
-//! eventually delivered and membership never changes mid-phase. This module
-//! supplies the adversary: a seeded [`FaultPlan`] that drops or delays
+//! The LBI aggregation and dissemination phases run message by message
+//! over the physical topology: each tree edge costs its shortest-path
+//! latency and a parent forwards only once every contributing child has
+//! reported. A seeded [`FaultPlan`] is the adversary: it drops or delays
 //! individual messages, crash-stops peers mid-round (their virtual servers
-//! and KT positions die with them), and rewires KT links to stale parents —
-//! plus the robustness machinery the paper implies but never specifies:
+//! and KT positions die with them), and rewires KT links to stale parents.
+//! The robustness machinery is what the paper implies but never specifies:
 //! per-message retry with exponential backoff ([`RetryPolicy`]) and
 //! sender-side give-up, so a phase *degrades* (partial coverage, reported
-//! through [`FaultPhaseOutcome`]) instead of hanging or panicking.
+//! through [`FaultPhaseOutcome`]) instead of hanging or panicking. Under
+//! [`FaultConfig::none`] every message arrives after its edge latency and
+//! the completion time is the analytic root-path latency
+//! ([`crate::latency::root_path_latencies`]).
 //!
 //! Everything is a pure function of `(FaultConfig, scenario seed)`: the
 //! plan owns its own RNG stream and every fate is drawn in event-queue
@@ -16,8 +21,9 @@
 //! counts, matching the repo's determinism contract.
 
 use crate::des::{EventQueue, RetryPolicy, SimTime};
-use crate::protocol::{PhaseTiming, ProtocolError, ProtocolScratch};
+use crate::protocol::{PhaseTiming, ProtocolScratch};
 use proxbal_chord::{ChordNetwork, PeerId};
+use proxbal_core::Error;
 use proxbal_ktree::{KTree, KtNodeId};
 use proxbal_topology::DistanceOracle;
 use proxbal_trace::Trace;
@@ -241,10 +247,14 @@ struct FaultRun<'a> {
     gave_up: usize,
     /// Edge `child → parent` delivered (indexed by child slot).
     edge_delivered: Vec<bool>,
+    /// Messages travel parent → child (dissemination) rather than
+    /// child → parent (aggregation).
+    downward: bool,
     trace: &'a mut Trace,
 }
 
 impl<'a> FaultRun<'a> {
+    #[allow(clippy::too_many_arguments)]
     fn new(
         net: &'a ChordNetwork,
         tree: &'a KTree,
@@ -252,6 +262,7 @@ impl<'a> FaultRun<'a> {
         plan: &'a mut FaultPlan,
         retry: RetryPolicy,
         crashes: &[(SimTime, PeerId)],
+        downward: bool,
         trace: &'a mut Trace,
     ) -> Self {
         FaultRun {
@@ -270,6 +281,7 @@ impl<'a> FaultRun<'a> {
             retries: 0,
             gave_up: 0,
             edge_delivered: vec![false; tree.slot_bound()],
+            downward,
             trace,
         }
     }
@@ -308,7 +320,7 @@ impl<'a> FaultRun<'a> {
         from: KtNodeId,
         to: KtNodeId,
         attempt: u32,
-    ) -> Result<Option<SimTime>, ProtocolError> {
+    ) -> Result<Option<SimTime>, Error> {
         if !self.alive_at(from, t) {
             // Crash-stop mid-retry-chain: the sender is gone; its parent
             // times out after the full remaining window.
@@ -318,7 +330,13 @@ impl<'a> FaultRun<'a> {
         if attempt > 0 {
             self.retries += 1;
         }
-        let latency = scratch.edge_latency(self.net, self.oracle, self.tree, from, to)?;
+        // The latency memo is keyed by the edge's child end.
+        let (child, parent) = if self.downward {
+            (to, from)
+        } else {
+            (from, to)
+        };
+        let latency = scratch.edge_latency(self.net, self.oracle, self.tree, child, parent)?;
         match self.plan.message_fate() {
             MessageFate::Drop => {
                 self.timing.losses += 1;
@@ -374,13 +392,16 @@ impl<'a> FaultRun<'a> {
     }
 }
 
-/// Fault-injected bottom-up aggregation: same protocol as
-/// [`crate::protocol::simulate_aggregation_in`], but messages follow the
-/// plan's fates, senders retry with exponential backoff and give up after
-/// the budget, and peers crash-stop mid-phase. A parent whose child edge
-/// permanently failed stops waiting for it (the fold of its wait timer into
-/// the give-up instant), so the phase always terminates — with partial
-/// coverage instead of an error.
+/// Bottom-up LBI aggregation as individual messages: every KT node on the
+/// path from a contributing node to the root forwards upward once all its
+/// contributing children have reported. `contributors` may repeat nodes
+/// and come in any order; the simulation is a function of the contributor
+/// *set*. Messages follow the plan's fates, senders retry with
+/// exponential backoff and give up after the budget, and peers crash-stop
+/// mid-phase. A parent whose child edge permanently failed stops waiting
+/// for it (the fold of its wait timer into the give-up instant), so the
+/// phase always terminates — with partial coverage instead of an error.
+/// Untraced; see [`simulate_aggregation_faulty_traced`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_aggregation_faulty(
     net: &ChordNetwork,
@@ -391,8 +412,7 @@ pub fn simulate_aggregation_faulty(
     retry: RetryPolicy,
     crashes: &[(SimTime, PeerId)],
     scratch: &mut ProtocolScratch,
-) -> Result<FaultPhaseOutcome, ProtocolError> {
-    let mut trace = Trace::disabled();
+) -> Result<FaultPhaseOutcome, Error> {
     simulate_aggregation_faulty_traced(
         net,
         tree,
@@ -402,15 +422,16 @@ pub fn simulate_aggregation_faulty(
         retry,
         crashes,
         scratch,
-        &mut trace,
+        &mut Trace::disabled(),
     )
 }
 
-/// [`simulate_aggregation_faulty`] with trace collection: records
+/// [`simulate_aggregation_faulty`] recording DES metrics into `trace`:
 /// `des_messages` / `des_losses` / `des_retries` / `des_gave_up` counters,
 /// the `des_backoff_delay` histogram (one sample per scheduled retry), and
-/// `des_queue_depth` / `des_queue_peak`. Spans are the caller's job — only
-/// the caller knows where this phase sits on the virtual timeline.
+/// `des_queue_depth` / `des_queue_peak`. The simulation is bit-identical
+/// with tracing on or off. Spans are the caller's job — only the caller
+/// knows where this phase sits on the virtual timeline.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_aggregation_faulty_traced(
     net: &ChordNetwork,
@@ -422,9 +443,9 @@ pub fn simulate_aggregation_faulty_traced(
     crashes: &[(SimTime, PeerId)],
     scratch: &mut ProtocolScratch,
     trace: &mut Trace,
-) -> Result<FaultPhaseOutcome, ProtocolError> {
+) -> Result<FaultPhaseOutcome, Error> {
     scratch.bind(tree);
-    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, trace);
+    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, false, trace);
 
     // Active nodes: contributors and all their ancestors.
     let mut any_active = false;
@@ -523,8 +544,8 @@ pub fn simulate_aggregation_faulty_traced(
         }};
     }
 
-    // Leaves of the active set fire at t = 0, in ascending slot order (the
-    // deterministic RNG binding of the reliable sim, kept here).
+    // Leaves of the active set fire at t = 0, in ascending slot order, so
+    // fates bind to leaves deterministically.
     for slot in 0..scratch.active.len() {
         if !scratch.active[slot] || scratch.pending[slot] != 0 {
             continue;
@@ -593,10 +614,11 @@ pub fn simulate_aggregation_faulty_traced(
     })
 }
 
-/// Fault-injected top-down dissemination: the root broadcasts, every node
-/// forwards on arrival; lost edges orphan their subtree (no upstream
-/// propagation needed — an unreached node simply never forwards). Coverage
-/// is `delivered / tree.len()`.
+/// Top-down dissemination: the root broadcasts, every node forwards on
+/// arrival; completion is the last delivery. Lost edges orphan their
+/// subtree (no upstream propagation needed — an unreached node simply
+/// never forwards). Coverage is `delivered / tree.len()`. Untraced; see
+/// [`simulate_dissemination_faulty_traced`].
 pub fn simulate_dissemination_faulty(
     net: &ChordNetwork,
     tree: &KTree,
@@ -605,10 +627,16 @@ pub fn simulate_dissemination_faulty(
     retry: RetryPolicy,
     crashes: &[(SimTime, PeerId)],
     scratch: &mut ProtocolScratch,
-) -> Result<FaultPhaseOutcome, ProtocolError> {
-    let mut trace = Trace::disabled();
+) -> Result<FaultPhaseOutcome, Error> {
     simulate_dissemination_faulty_traced(
-        net, tree, oracle, plan, retry, crashes, scratch, &mut trace,
+        net,
+        tree,
+        oracle,
+        plan,
+        retry,
+        crashes,
+        scratch,
+        &mut Trace::disabled(),
     )
 }
 
@@ -624,9 +652,9 @@ pub fn simulate_dissemination_faulty_traced(
     crashes: &[(SimTime, PeerId)],
     scratch: &mut ProtocolScratch,
     trace: &mut Trace,
-) -> Result<FaultPhaseOutcome, ProtocolError> {
+) -> Result<FaultPhaseOutcome, Error> {
     scratch.bind(tree);
-    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, trace);
+    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, true, trace);
     let mut reached = 0usize;
 
     let fanout = |run: &mut FaultRun<'_>, node: KtNodeId, t: SimTime| {
@@ -736,7 +764,7 @@ impl crate::engine::EventSource for FaultSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{simulate_aggregation, LossModel};
+    use crate::latency::root_path_latencies;
     use crate::{Scenario, TopologyKind};
 
     fn setup() -> (crate::Prepared, KTree) {
@@ -758,6 +786,28 @@ mod tests {
         targets.sort_unstable();
         targets.dedup();
         targets
+    }
+
+    /// One aggregation over `contributors` under `cfg`, no crashes.
+    fn aggregate(
+        prepared: &crate::Prepared,
+        tree: &KTree,
+        contributors: &[KtNodeId],
+        cfg: FaultConfig,
+        retry: RetryPolicy,
+        scratch: &mut ProtocolScratch,
+    ) -> FaultPhaseOutcome {
+        simulate_aggregation_faulty(
+            &prepared.net,
+            tree,
+            prepared.oracle.as_ref().unwrap(),
+            contributors,
+            &mut FaultPlan::new(cfg),
+            retry,
+            &[],
+            scratch,
+        )
+        .expect("attached")
     }
 
     fn run_agg(
@@ -803,21 +853,136 @@ mod tests {
         assert_eq!(dis.completion_rate(), 1.0);
         assert_eq!(agg.retries, 0);
         assert_eq!(agg.gave_up, 0);
-        // The fault-free faulty driver matches the reliable sim exactly.
+        assert_eq!(agg.timing.losses, 0);
+        // Without faults each phase finishes at the analytic maximum
+        // root-path latency (aggregation: over the contributing nodes;
+        // dissemination: over every node), and the broadcast sends exactly
+        // one message per tree edge.
         let oracle = prepared.oracle.as_ref().unwrap();
+        let paths = root_path_latencies(&prepared.net, oracle, &tree);
         let contributors = all_report_targets(&prepared, &tree);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let reliable = simulate_aggregation(
+        let agg_analytic = contributors.iter().map(|c| paths[*c]).max().unwrap();
+        assert_eq!(agg.timing.completion, agg_analytic);
+        assert_eq!(dis.timing.completion, *paths.values().max().unwrap());
+        assert_eq!(dis.timing.messages, tree.len() - 1);
+    }
+
+    #[test]
+    fn partial_contributors_complete_sooner_or_equal() {
+        let (prepared, tree) = setup();
+        let all = all_report_targets(&prepared, &tree);
+        let few: Vec<KtNodeId> = all.iter().copied().take(3).collect();
+        let none = FaultConfig::none(2);
+        let retry = RetryPolicy::protocol_default();
+        let mut scratch = ProtocolScratch::new();
+        let t_all = aggregate(&prepared, &tree, &all, none, retry, &mut scratch).timing;
+        let t_few = aggregate(&prepared, &tree, &few, none, retry, &mut scratch).timing;
+        assert!(t_few.completion <= t_all.completion);
+        assert!(t_few.messages < t_all.messages);
+    }
+
+    #[test]
+    fn loss_delays_but_completes() {
+        let (prepared, tree) = setup();
+        let contributors = all_report_targets(&prepared, &tree);
+        // A constant 20-unit timeout with a retry budget no run exhausts:
+        // every message eventually gets through.
+        let patient = RetryPolicy {
+            base_timeout: 20,
+            backoff: 1,
+            max_retries: 64,
+        };
+        let mut scratch = ProtocolScratch::new();
+        let reliable = aggregate(
+            &prepared,
+            &tree,
+            &contributors,
+            FaultConfig::none(3),
+            patient,
+            &mut scratch,
+        );
+        let lossy = aggregate(
+            &prepared,
+            &tree,
+            &contributors,
+            FaultConfig {
+                loss_rate: 0.3,
+                ..FaultConfig::none(3)
+            },
+            patient,
+            &mut scratch,
+        );
+        assert!(lossy.timing.losses > 0);
+        assert_eq!(lossy.gave_up, 0);
+        assert_eq!(lossy.completion_rate(), 1.0);
+        assert!(lossy.timing.completion >= reliable.timing.completion);
+        assert!(lossy.timing.messages > reliable.timing.messages);
+    }
+
+    #[test]
+    fn empty_contributor_set_is_trivial() {
+        let (prepared, tree) = setup();
+        let timing = aggregate(
+            &prepared,
+            &tree,
+            &[],
+            FaultConfig::none(5),
+            RetryPolicy::protocol_default(),
+            &mut ProtocolScratch::new(),
+        )
+        .timing;
+        assert_eq!(timing.completion, 0);
+        assert_eq!(timing.messages, 0);
+    }
+
+    #[test]
+    fn unattached_peer_is_a_typed_error() {
+        let (mut prepared, tree) = setup();
+        let contributors = all_report_targets(&prepared, &tree);
+        // Detach every peer: any inter-peer tree edge now has no latency.
+        let peers: Vec<_> = prepared.net.alive_peers();
+        for p in &peers {
+            prepared.net.attach(*p, u32::MAX);
+        }
+        let err = simulate_aggregation_faulty(
             &prepared.net,
             &tree,
-            oracle,
+            prepared.oracle.as_ref().unwrap(),
             &contributors,
-            &LossModel::reliable(),
-            &mut rng,
+            &mut FaultPlan::new(FaultConfig::none(6)),
+            RetryPolicy::protocol_default(),
+            &[],
+            &mut ProtocolScratch::new(),
         )
-        .expect("attached");
-        assert_eq!(agg.timing.completion, reliable.completion);
-        assert_eq!(agg.timing.messages, reliable.messages);
+        .expect_err("unattached peers must not simulate");
+        assert!(matches!(err, Error::UnattachedPeer(_)));
+    }
+
+    #[test]
+    fn scratch_reuse_is_bit_identical() {
+        let (prepared, tree) = setup();
+        let contributors = all_report_targets(&prepared, &tree);
+        let retry = RetryPolicy::protocol_default();
+        let cfg = |i: u64| FaultConfig {
+            loss_rate: 0.2,
+            ..FaultConfig::none(100 + i)
+        };
+        let fresh: Vec<FaultPhaseOutcome> = (0..4)
+            .map(|i| {
+                let scratch = &mut ProtocolScratch::new();
+                aggregate(&prepared, &tree, &contributors, cfg(i), retry, scratch)
+            })
+            .collect();
+        let mut scratch = ProtocolScratch::new();
+        let pooled: Vec<FaultPhaseOutcome> = (0..4)
+            .map(|i| aggregate(&prepared, &tree, &contributors, cfg(i), retry, &mut scratch))
+            .collect();
+        for (f, p) in fresh.iter().zip(&pooled) {
+            assert_eq!(f.timing.completion, p.timing.completion);
+            assert_eq!(f.timing.messages, p.timing.messages);
+            assert_eq!(f.timing.losses, p.timing.losses);
+            assert_eq!(f.delivered, p.delivered);
+        }
     }
 
     #[test]

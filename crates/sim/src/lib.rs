@@ -9,6 +9,9 @@
 //!   load scatters (Figure 4), per-capacity-class summaries (Figures 5/6),
 //!   Gini/percentile helpers.
 //! * [`des`] — a minimal discrete-event engine (time-ordered queue).
+//! * [`faults`] — the message-level DES of the tree protocols (LBI
+//!   aggregation and dissemination) with seeded fault injection and
+//!   retry/backoff; [`protocol`] holds its reusable scratch.
 //! * [`churn`] — Poisson join/crash churn driving K-nary-tree maintenance,
 //!   for the self-repair claims of §3.1.
 //! * [`engine`] — the continuous-operation engine: churn, drift, faults,
@@ -25,14 +28,11 @@ pub mod experiments;
 pub mod faults;
 pub mod latency;
 pub mod metrics;
-pub mod parallel;
 pub mod protocol;
 mod scenario;
 pub mod shard;
 
-pub use engine::{
-    run_engine, run_engine_traced, run_engine_with, EngineConfig, EngineReport, EpochSample,
-};
+pub use engine::{run_engine, run_engine_traced, EngineConfig, EngineReport, EpochSample};
 pub use scenario::{
     Prepared, Scenario, ScenarioBuilder, TopologyKind, XL2_ORACLE_CAPACITY, XL_ORACLE_CAPACITY,
 };

@@ -113,37 +113,24 @@ impl Scenario {
     /// deterministic in the scenario (including `shards`) and independent
     /// of the worker-thread count.
     pub fn prepare(&self) -> Prepared {
-        self.prepare_threads(crate::parallel::default_threads())
+        self.prepare_threads(proxbal_parallel::default_threads())
     }
 
     /// Like [`Scenario::prepare`] with an explicit worker-thread count.
-    /// Thread count never changes the result — it only bounds parallelism —
-    /// so this exists for benchmarks and determinism tests that pin it.
+    /// Thread count never changes the result — it only bounds parallelism.
+    /// Per-phase heartbeat lines (topology, join, attach/landmarks, loads)
+    /// go to the global [`proxbal_profile::progress`] sink, never to stdout,
+    /// and never change the prepared result.
     pub fn prepare_threads(&self, threads: usize) -> Prepared {
-        self.prepare_run(threads, &proxbal_profile::NullSink)
-    }
-
-    /// Like [`Scenario::prepare_threads`] with per-phase heartbeat lines
-    /// on `progress` (topology, join, attach/landmarks, loads). Heartbeats
-    /// go to the sink (stderr for the CLI), never to stdout, and never
-    /// change the prepared result.
-    pub fn prepare_run(
-        &self,
-        threads: usize,
-        progress: &dyn proxbal_profile::ProgressSink,
-    ) -> Prepared {
         if self.shards > 0 {
-            crate::shard::prepare_sharded_run(self, threads, progress)
+            crate::shard::prepare_sharded(self, threads)
         } else {
-            self.prepare_serial(threads, progress)
+            self.prepare_serial(threads)
         }
     }
 
-    fn prepare_serial(
-        &self,
-        threads: usize,
-        progress: &dyn proxbal_profile::ProgressSink,
-    ) -> Prepared {
+    fn prepare_serial(&self, threads: usize) -> Prepared {
+        use proxbal_profile::progress;
         let oracle_capacity = self.oracle_capacity;
         let mut rng = StdRng::seed_from_u64(self.seed);
 
@@ -167,7 +154,7 @@ impl Scenario {
             TopologyKind::None => None,
         };
         if let Some(ref topo) = topo {
-            progress.event(&format!(
+            progress::event(&format!(
                 "prepare: topology generated ({} nodes)",
                 topo.graph.node_count()
             ));
@@ -177,7 +164,7 @@ impl Scenario {
         for i in 0..self.peers {
             net.join_peer(self.vs_per_peer, &mut rng);
             if (i + 1).is_multiple_of(65_536) {
-                progress.event(&format!("prepare: joined {}/{} peers", i + 1, self.peers));
+                progress::event(&format!("prepare: joined {}/{} peers", i + 1, self.peers));
             }
         }
 
@@ -206,7 +193,7 @@ impl Scenario {
                     latency_oracle.pin(l);
                 }
             }
-            progress.event(&format!(
+            progress::event(&format!(
                 "prepare: peers attached, {} landmark rows precomputed",
                 landmarks.len()
             ));
@@ -216,7 +203,7 @@ impl Scenario {
         };
 
         let loads = LoadState::generate(&net, &self.capacity, &self.load, &mut rng);
-        progress.event("prepare: load state generated");
+        progress::event("prepare: load state generated");
 
         let (oracle, latency_oracle) = match oracle {
             Some((a, b)) => (Some(a), Some(b)),

@@ -8,7 +8,7 @@
 //!
 //! - **Ring positions** — each shard owns a contiguous peer range and draws
 //!   its virtual-server positions from a shard-indexed RNG
-//!   ([`crate::parallel::map_indexed`], so slot order never depends on the
+//!   ([`proxbal_parallel::map_indexed`], so slot order never depends on the
 //!   thread count). The draws are replayed serially in peer order through
 //!   [`ChordNetwork::join_peer_at`]; the rare position collision falls back
 //!   to the master RNG, exactly like the serial path resamples.
@@ -22,7 +22,6 @@
 //! on the master RNG in the serial order. The result is deterministic in
 //! `(scenario, shards)` and byte-identical at any `--threads`.
 
-use crate::parallel;
 use crate::scenario::{Prepared, Scenario, TopologyKind};
 use proxbal_chord::ChordNetwork;
 use proxbal_core::LoadState;
@@ -42,19 +41,12 @@ fn shard_rng(seed: u64, s: usize) -> StdRng {
 
 /// Sharded counterpart of the serial preparation path; dispatched to by
 /// [`Scenario::prepare`](crate::Scenario::prepare) whenever
-/// `scenario.shards > 0`.
+/// `scenario.shards > 0`. Per-phase heartbeat lines (topology, position
+/// batches, join replay, attach/landmarks, loads) go to the global
+/// [`proxbal_profile::progress`] sink and never change the prepared
+/// result.
 pub fn prepare_sharded(scenario: &Scenario, threads: usize) -> Prepared {
-    prepare_sharded_run(scenario, threads, &proxbal_profile::NullSink)
-}
-
-/// [`prepare_sharded`] with per-phase heartbeat lines on `progress`
-/// (topology, position batches, join replay, attach/landmarks, loads).
-/// Heartbeats never change the prepared result.
-pub fn prepare_sharded_run(
-    scenario: &Scenario,
-    threads: usize,
-    progress: &dyn proxbal_profile::ProgressSink,
-) -> Prepared {
+    use proxbal_profile::progress;
     let shards = scenario.shards.max(1);
     let mut rng = StdRng::seed_from_u64(scenario.seed);
 
@@ -78,7 +70,7 @@ pub fn prepare_sharded_run(
         TopologyKind::None => None,
     };
     if let Some(ref topo) = topo {
-        progress.event(&format!(
+        progress::event(&format!(
             "prepare: topology generated ({} nodes)",
             topo.graph.node_count()
         ));
@@ -91,7 +83,7 @@ pub fn prepare_sharded_run(
     let vs_per_peer = scenario.vs_per_peer;
     let chunk = peers.div_ceil(shards);
     let seed = scenario.seed;
-    let batches: Vec<Vec<Id>> = parallel::map_indexed(shards, threads, |s| {
+    let batches: Vec<Vec<Id>> = proxbal_parallel::map_indexed(shards, threads, |s| {
         let start = s * chunk;
         let end = peers.min(start + chunk);
         let mut shard_rng = shard_rng(seed, s);
@@ -104,7 +96,7 @@ pub fn prepare_sharded_run(
         out
     });
 
-    progress.event(&format!(
+    progress::event(&format!(
         "prepare: {shards} position batches drawn for {peers} peers"
     ));
 
@@ -118,7 +110,7 @@ pub fn prepare_sharded_run(
             net.join_peer_at(positions, &mut rng);
             joined += 1;
             if joined.is_multiple_of(262_144) {
-                progress.event(&format!("prepare: joined {joined}/{peers} peers"));
+                progress::event(&format!("prepare: joined {joined}/{peers} peers"));
             }
         }
     }
@@ -142,7 +134,7 @@ pub fn prepare_sharded_run(
                 latency_oracle.pin(l);
             }
         }
-        progress.event(&format!(
+        progress::event(&format!(
             "prepare: peers attached, {} landmark rows precomputed",
             landmarks.len()
         ));
@@ -152,7 +144,7 @@ pub fn prepare_sharded_run(
     };
 
     let loads = LoadState::generate(&net, &scenario.capacity, &scenario.load, &mut rng);
-    progress.event("prepare: load state generated");
+    progress::event("prepare: load state generated");
 
     let (oracle, latency_oracle) = match oracle {
         Some((a, b)) => (Some(a), Some(b)),
@@ -191,7 +183,7 @@ pub fn build_tree_sharded(net: &ChordNetwork, k: usize, split_depth: u32, thread
         .collect();
     let batch = (threads.max(1) * 2).max(4);
     for chunk in work.chunks(batch) {
-        let fragments = parallel::map_items(chunk, threads, |_, &(_, region, depth)| {
+        let fragments = proxbal_parallel::map_items(chunk, threads, |_, &(_, region, depth)| {
             KTree::build_fragment(net, k, region, depth)
         });
         for (&(id, _, _), fragment) in chunk.iter().zip(fragments) {

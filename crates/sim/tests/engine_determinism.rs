@@ -132,6 +132,7 @@ fn quiescent_single_epoch_matches_one_shot_round() {
             &mut RoundCache::new(),
             &DirtySet::All,
             &mut rng,
+            &mut Trace::disabled(),
         )
         .unwrap();
 

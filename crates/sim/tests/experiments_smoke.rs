@@ -5,6 +5,7 @@
 use proxbal_core::BalancerConfig;
 use proxbal_sim::experiments::*;
 use proxbal_sim::{Scenario, TopologyKind};
+use proxbal_trace::Trace;
 use proxbal_workload::LoadModel;
 
 fn small(seed: u64, topology: TopologyKind) -> Scenario {
@@ -17,7 +18,7 @@ fn small(seed: u64, topology: TopologyKind) -> Scenario {
 #[test]
 fn fig4_driver_shape() {
     let mut prepared = small(1, TopologyKind::None).prepare();
-    let out = fig4_unit_load(&mut prepared);
+    let out = fig4_unit_load(&mut prepared, &mut Trace::disabled());
     assert_eq!(out.before.len(), 256);
     assert_eq!(out.after.len(), 256);
     let max_before = out.before.iter().fold(0.0f64, |a, &b| a.max(b));
@@ -33,7 +34,7 @@ fn fig56_driver_shape_gaussian_and_pareto() {
         let mut scenario = small(2, TopologyKind::None);
         scenario.load = load;
         let mut prepared = scenario.prepare();
-        let out = fig56_class_loads(&mut prepared);
+        let out = fig56_class_loads(&mut prepared, &mut Trace::disabled());
         assert_eq!(out.class_capacity.len(), 5);
         // Post-balance means rise with capacity over populated classes.
         let means: Vec<f64> = out
@@ -51,7 +52,7 @@ fn fig56_driver_shape_gaussian_and_pareto() {
 #[test]
 fn fig78_replicated_pools_graphs() {
     let base = small(3, TopologyKind::Tiny);
-    let out = fig78_replicated(&base, 3, 3);
+    let out = fig78_replicated(&base, 3, 3, &mut Trace::disabled());
     assert_eq!(out.per_graph.len(), 3);
     assert_eq!(out.max_heavy_after, 0);
     assert!(!out.aware.is_empty());
@@ -62,7 +63,7 @@ fn fig78_replicated_pools_graphs() {
 
 #[test]
 fn rounds_scaling_is_monotone_in_size_and_k() {
-    let rows = rounds_scaling(&[64, 256], &[2, 8], 5, 2);
+    let rows = rounds_scaling(&[64, 256], &[2, 8], 5, 2, &mut Trace::disabled());
     assert_eq!(rows.len(), 4);
     let get = |peers: usize, k: usize| {
         rows.iter()
@@ -76,7 +77,7 @@ fn rounds_scaling_is_monotone_in_size_and_k() {
 
 #[test]
 fn repair_rows_bounded_by_height() {
-    let row = repair_after_crash(128, 0.25, 2, 7);
+    let row = repair_after_crash(128, 0.25, 2, 7, &mut Trace::disabled());
     assert_eq!(row.crash_repair_rounds, 1, "prune/replant is one sweep");
     assert!(row.join_repair_rounds >= 1);
     assert!(
@@ -104,7 +105,7 @@ fn ablation_sweep_covers_all_variants() {
     let mut scenario = small(11, TopologyKind::Tiny);
     scenario.landmarks = 6;
     let prepared = scenario.prepare();
-    let rows = ablation_sweep(&prepared, 2);
+    let rows = ablation_sweep(&prepared, 2, &mut Trace::disabled());
     assert!(rows.len() >= 12);
     // Ignorant baseline must have the worst mean distance.
     let ignorant = rows
@@ -127,14 +128,16 @@ fn ablation_sweep_covers_all_variants() {
 fn parallel_drivers_are_thread_count_invariant() {
     let fig = |threads| {
         let base = small(17, TopologyKind::Tiny);
-        serde_json::to_string(&fig78_replicated(&base, 3, threads)).unwrap()
+        serde_json::to_string(&fig78_replicated(&base, 3, threads, &mut Trace::disabled())).unwrap()
     };
     let fig1 = fig(1);
     assert_eq!(fig1, fig(2), "fig78 differs at 2 threads");
     assert_eq!(fig1, fig(8), "fig78 differs at 8 threads");
 
-    let rounds =
-        |threads| serde_json::to_string(&rounds_scaling(&[64, 128], &[2, 8], 19, threads)).unwrap();
+    let rounds = |threads| {
+        let rows = rounds_scaling(&[64, 128], &[2, 8], 19, threads, &mut Trace::disabled());
+        serde_json::to_string(&rows).unwrap()
+    };
     let rounds1 = rounds(1);
     assert_eq!(rounds1, rounds(2), "rounds_scaling differs at 2 threads");
     assert_eq!(rounds1, rounds(8), "rounds_scaling differs at 8 threads");
@@ -142,7 +145,9 @@ fn parallel_drivers_are_thread_count_invariant() {
     let mut scenario = small(11, TopologyKind::Tiny);
     scenario.landmarks = 6;
     let prepared = scenario.prepare();
-    let ablation = |threads| serde_json::to_string(&ablation_sweep(&prepared, threads)).unwrap();
+    let ablation = |threads| {
+        serde_json::to_string(&ablation_sweep(&prepared, threads, &mut Trace::disabled())).unwrap()
+    };
     let ablation1 = ablation(1);
     assert_eq!(
         ablation1,
@@ -156,7 +161,15 @@ fn parallel_drivers_are_thread_count_invariant() {
     );
 
     let latency = |threads| {
-        serde_json::to_string(&protocol_latency(&[96], &[2, 8], &[0.0, 0.05], 23, threads)).unwrap()
+        let rows = protocol_latency(
+            &[96],
+            &[2, 8],
+            &[0.0, 0.05],
+            23,
+            threads,
+            &mut Trace::disabled(),
+        );
+        serde_json::to_string(&rows).unwrap()
     };
     let latency1 = latency(1);
     assert_eq!(
@@ -174,9 +187,12 @@ fn parallel_drivers_are_thread_count_invariant() {
 fn bounded_oracle_cache_is_bit_identical() {
     let mut base = small(7, TopologyKind::Ts5kLarge);
     base.peers = 512;
-    let unbounded = serde_json::to_string(&fig78_moved_load(&base.prepare())).unwrap();
+    let run = |s: &Scenario| {
+        serde_json::to_string(&fig78_moved_load(&s.prepare(), &mut Trace::disabled())).unwrap()
+    };
+    let unbounded = run(&base);
     base.oracle_capacity = 16;
-    let bounded = serde_json::to_string(&fig78_moved_load(&base.prepare())).unwrap();
+    let bounded = run(&base);
     assert_eq!(unbounded, bounded);
 }
 
@@ -188,7 +204,7 @@ fn balancer_config_in_scenario_is_respected() {
         ..BalancerConfig::default()
     };
     let mut prepared = scenario.prepare();
-    let out = fig4_unit_load(&mut prepared);
+    let out = fig4_unit_load(&mut prepared, &mut Trace::disabled());
     // K=8 trees are shallow: round counts far below the K=2 equivalents.
     assert!(out.report.lbi_rounds <= 10, "{}", out.report.lbi_rounds);
 }
@@ -206,4 +222,26 @@ fn scenario_serde_round_trip() {
     let b = back.prepare();
     assert_eq!(a.net.alive_vs_count(), b.net.alive_vs_count());
     assert_eq!(a.landmarks, b.landmarks);
+}
+
+/// Tracing never perturbs results: every driver returns byte-identical
+/// rows whether its collector is enabled or [`Trace::disabled`].
+#[test]
+fn enabled_and_disabled_traces_give_identical_rows() {
+    fn both<T: serde::Serialize>(mut run: impl FnMut(&mut Trace) -> T) {
+        let plain = serde_json::to_string(&run(&mut Trace::disabled())).unwrap();
+        let mut trace = Trace::enabled("driver");
+        let traced = serde_json::to_string(&run(&mut trace)).unwrap();
+        assert_eq!(plain, traced, "tracing must never perturb the driver");
+        assert!(trace.event_count() > 0 || trace.counters().next().is_some());
+    }
+    let scenario = small(21, TopologyKind::Tiny);
+    both(|t| fig4_unit_load(&mut scenario.prepare(), t));
+    both(|t| fig56_class_loads(&mut scenario.prepare(), t));
+    both(|t| fig78_moved_load(&scenario.prepare(), t));
+    both(|t| rounds_scaling(&[64], &[2, 8], 21, 2, t));
+    both(|t| repair_after_crash(128, 0.25, 2, 21, t));
+    let mut lean = small(21, TopologyKind::Tiny);
+    lean.landmarks = 6;
+    both(|t| ablation_sweep(&lean.prepare(), 2, t));
 }

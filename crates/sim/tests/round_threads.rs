@@ -9,7 +9,7 @@
 //! is exactly this property at a million peers.
 
 use proxbal_core::{
-    BalancerConfig, LoadBalancer, ProximityMode, ProximityParams, RoundWalls, Underlay,
+    BalancerConfig, DirtySet, LoadBalancer, ProximityMode, ProximityParams, RoundCache, Underlay,
 };
 use proxbal_ktree::KTree;
 use proxbal_sim::{Scenario, TopologyKind};
@@ -25,10 +25,10 @@ fn aware_scenario(seed: u64) -> Scenario {
     s
 }
 
-/// Runs one traced proximity-aware round at the given worker-thread count
-/// over freshly prepared (thread-independent) state, returning the
+/// Runs one proximity-aware round at the given worker-thread count over
+/// freshly prepared (thread-independent) state, into `trace`, returning the
 /// serialized report and the trace event log.
-fn one_round(seed: u64, threads: usize) -> (String, String, RoundWalls) {
+fn one_round_into(seed: u64, threads: usize, trace: &mut Trace) -> (String, String) {
     let mut prepared = aware_scenario(seed).prepare_threads(1);
     let cfg = BalancerConfig {
         mode: ProximityMode::Aware(ProximityParams::default()),
@@ -41,43 +41,61 @@ fn one_round(seed: u64, threads: usize) -> (String, String, RoundWalls) {
     };
     let mut tree = KTree::build(&prepared.net, cfg.k);
     let mut rng = prepared.derived_rng(0x51D);
-    let mut trace = Trace::enabled("round");
-    let mut walls = RoundWalls::default();
     let report = LoadBalancer::new(cfg)
         .with_threads(threads)
-        .run_with_tree_walls(
+        .run_round(
             &mut prepared.net,
             &mut prepared.loads,
             &mut tree,
             Some(underlay),
+            &mut RoundCache::new(),
+            &DirtySet::All,
             &mut rng,
-            &mut trace,
-            &mut walls,
+            trace,
         )
         .expect("attached network");
     (
         serde_json::to_string(&report).expect("serialize report"),
         trace.to_ndjson(),
-        walls,
     )
+}
+
+/// [`one_round_into`] with an enabled collector.
+fn one_round(seed: u64, threads: usize) -> (String, String) {
+    one_round_into(seed, threads, &mut Trace::enabled("round"))
 }
 
 #[test]
 fn round_report_and_trace_are_byte_identical_across_thread_counts() {
-    let (report1, nd1, walls1) = one_round(17, 1);
+    // The phase profiler is process-global; enabling it here only adds
+    // wall-clock rows, which never reach the report or the trace.
+    proxbal_profile::enable_profiler();
+    let (report1, nd1) = one_round(17, 1);
     for threads in [2, 3, 8] {
-        let (report, nd, _) = one_round(17, threads);
+        let (report, nd) = one_round(17, threads);
         assert_eq!(report, report1, "report at {threads} threads");
         assert_eq!(nd, nd1, "trace event log at {threads} threads");
     }
-    // The walls were actually measured (phases 1 and 4 always do work).
-    assert!(walls1.lbi_wall_s > 0.0);
-    assert!(walls1.transfer_wall_s > 0.0);
+    // Tracing never perturbs the round: a disabled collector gives the
+    // same report.
+    let (plain, _) = one_round_into(17, 2, &mut Trace::disabled());
+    assert_eq!(plain, report1, "report with tracing disabled");
+    // The phase walls were actually measured (phases 1 and 4 always do
+    // work).
+    let rows = proxbal_profile::report().rows;
+    let wall = |name: &str| -> f64 {
+        rows.iter()
+            .filter(|r| r.name == name)
+            .map(|r| r.wall.as_secs_f64())
+            .sum()
+    };
+    assert!(wall("round/lbi") > 0.0);
+    assert!(wall("round/transfer") > 0.0);
 }
 
 #[test]
 fn round_trace_carries_the_intra_round_spans() {
-    let (_, nd, _) = one_round(19, 8);
+    let (_, nd) = one_round(19, 8);
     // The new per-phase spans exist and their args are workload-derived
     // (peer/chunk/merge counts), never thread counts or wall-clocks — that
     // is what lets the 8-thread event log match the serial one above.
@@ -104,7 +122,13 @@ fn ignorant_mode_rounds_are_thread_invariant_too() {
         let mut rng = prepared.derived_rng(0x1D);
         let report = LoadBalancer::new(prepared.scenario.balancer)
             .with_threads(threads)
-            .run(&mut prepared.net, &mut prepared.loads, None, &mut rng)
+            .run(
+                &mut prepared.net,
+                &mut prepared.loads,
+                None,
+                &mut rng,
+                &mut Trace::disabled(),
+            )
             .expect("attached network");
         serde_json::to_string(&report).expect("serialize report")
     };

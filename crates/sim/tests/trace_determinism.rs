@@ -1,13 +1,10 @@
 //! The tracing subsystem's determinism contract, end to end: for a fixed
 //! `(seed, fault plan)` the serialized trace — newline-JSON event log AND
-//! chrome://tracing JSON — is **byte-identical** at any thread count, and a
-//! disabled collector leaves the experiment results byte-for-byte identical
-//! to an untraced run.
+//! chrome://tracing JSON — is **byte-identical** at any thread count, and
+//! the experiment results are byte-for-byte the same whether the collector
+//! is enabled or [`Trace::disabled`].
 
-use proxbal_sim::experiments::{
-    fault_sweep, fault_sweep_traced, fig78_replicated, fig78_replicated_traced, protocol_latency,
-    protocol_latency_traced,
-};
+use proxbal_sim::experiments::{fault_sweep, fig78_replicated, protocol_latency};
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
 
@@ -31,7 +28,7 @@ fn fault_sweep_trace_is_byte_identical_across_thread_counts() {
     let rates = [0.0, 0.05, 0.1];
     let run = |threads: usize| {
         let mut trace = Trace::enabled("faults");
-        let rows = fault_sweep_traced(&s, &rates, threads, &mut trace);
+        let rows = fault_sweep(&s, &rates, threads, &mut trace);
         (
             serde_json::to_string(&rows).unwrap(),
             trace.to_ndjson(),
@@ -55,7 +52,7 @@ fn fault_sweep_trace_counters_match_row_totals() {
     let s = sweep_scenario();
     let rates = [0.0, 0.1];
     let mut trace = Trace::enabled("faults");
-    let rows = fault_sweep_traced(&s, &rates, 2, &mut trace);
+    let rows = fault_sweep(&s, &rates, 2, &mut trace);
     let retries: usize = rows.iter().map(|r| r.retries).sum();
     let gave_up: usize = rows.iter().map(|r| r.gave_up).sum();
     let messages: usize = rows.iter().map(|r| r.messages).sum();
@@ -68,12 +65,12 @@ fn fault_sweep_trace_counters_match_row_totals() {
 }
 
 #[test]
-fn traced_and_untraced_fault_sweeps_agree() {
+fn enabled_and_disabled_trace_fault_sweeps_agree() {
     let s = sweep_scenario();
     let rates = [0.0, 0.08];
-    let plain = fault_sweep(&s, &rates, 2);
+    let plain = fault_sweep(&s, &rates, 2, &mut Trace::disabled());
     let mut trace = Trace::enabled("faults");
-    let traced = fault_sweep_traced(&s, &rates, 2, &mut trace);
+    let traced = fault_sweep(&s, &rates, 2, &mut trace);
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&traced).unwrap(),
@@ -86,7 +83,7 @@ fn fig78_trace_is_byte_identical_across_thread_counts() {
     let base = fig78_scenario();
     let run = |threads: usize| {
         let mut trace = Trace::enabled("figure_7");
-        let out = fig78_replicated_traced(&base, 3, threads, &mut trace);
+        let out = fig78_replicated(&base, 3, threads, &mut trace);
         (
             serde_json::to_string(&out).unwrap(),
             trace.to_ndjson(),
@@ -109,9 +106,9 @@ fn fig78_trace_is_byte_identical_across_thread_counts() {
 #[test]
 fn fig78_disabled_trace_changes_nothing_and_records_nothing() {
     let base = fig78_scenario();
-    let plain = fig78_replicated(&base, 2, 2);
     let mut disabled = Trace::disabled();
-    let traced = fig78_replicated_traced(&base, 2, 2, &mut disabled);
+    let plain = fig78_replicated(&base, 2, 2, &mut disabled);
+    let traced = fig78_replicated(&base, 2, 2, &mut Trace::enabled("figure_7"));
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&traced).unwrap()
@@ -124,7 +121,7 @@ fn fig78_disabled_trace_changes_nothing_and_records_nothing() {
 fn protocol_latency_trace_is_thread_count_invariant() {
     let run = |threads: usize| {
         let mut trace = Trace::enabled("latency");
-        let rows = protocol_latency_traced(&[128], &[2, 8], &[0.0, 0.05], 3, threads, &mut trace);
+        let rows = protocol_latency(&[128], &[2, 8], &[0.0, 0.05], 3, threads, &mut trace);
         (serde_json::to_string(&rows).unwrap(), trace.to_ndjson())
     };
     let (rows1, nd1) = run(1);
@@ -134,7 +131,7 @@ fn protocol_latency_trace_is_thread_count_invariant() {
     // Spans for both phases landed on the per-cell tracks.
     assert!(nd1.contains("des/aggregation"));
     assert!(nd1.contains("des/dissemination"));
-    // And the untraced wrapper returns the same rows.
-    let plain = protocol_latency(&[128], &[2, 8], &[0.0, 0.05], 3, 2);
+    // And a disabled collector returns the same rows.
+    let plain = protocol_latency(&[128], &[2, 8], &[0.0, 0.05], 3, 2, &mut Trace::disabled());
     assert_eq!(serde_json::to_string(&plain).unwrap(), rows1);
 }

@@ -5,7 +5,7 @@
 //! byte-identical at any `--threads`) is exactly this property at 1M peers.
 
 use proxbal_core::{BalancerConfig, LoadBalancer, ProximityMode, ProximityParams};
-use proxbal_sim::experiments::{xl2_scale_with, Xl2ScaleOutput, XL2_SPLIT_DEPTH};
+use proxbal_sim::experiments::{xl2_scale, Xl2ScaleOutput, XL2_SPLIT_DEPTH};
 use proxbal_sim::metrics::DistanceHistogram;
 use proxbal_sim::shard::build_tree_sharded;
 use proxbal_sim::{Scenario, TopologyKind};
@@ -30,18 +30,14 @@ fn stable_json(mut out: Xl2ScaleOutput) -> String {
     out.prepare_wall_s = 0.0;
     out.tree_wall_s = 0.0;
     out.aware.wall_s = 0.0;
-    out.aware.lbi_wall_s = 0.0;
-    out.aware.aggregate_wall_s = 0.0;
-    out.aware.vsa_wall_s = 0.0;
-    out.aware.transfer_wall_s = 0.0;
     serde_json::to_string(&out).expect("serialize xl2 output")
 }
 
 #[test]
 fn xl2_output_is_byte_identical_across_thread_counts() {
-    let base = stable_json(xl2_scale_with(tiny_xl2(3), 1, &mut Trace::disabled()));
+    let base = stable_json(xl2_scale(tiny_xl2(3), 1, &mut Trace::disabled()));
     for threads in [2, 8] {
-        let run = stable_json(xl2_scale_with(tiny_xl2(3), threads, &mut Trace::disabled()));
+        let run = stable_json(xl2_scale(tiny_xl2(3), threads, &mut Trace::disabled()));
         assert_eq!(run, base, "{threads} threads");
     }
 }
@@ -50,7 +46,7 @@ fn xl2_output_is_byte_identical_across_thread_counts() {
 fn xl2_trace_is_byte_identical_across_thread_counts() {
     let run = |threads: usize| {
         let mut trace = Trace::enabled("xl2");
-        let out = stable_json(xl2_scale_with(tiny_xl2(5), threads, &mut trace));
+        let out = stable_json(xl2_scale(tiny_xl2(5), threads, &mut trace));
         (out, trace.to_ndjson())
     };
     let (out1, nd1) = run(1);
@@ -99,7 +95,7 @@ fn sharded_tree_matches_serial_build_shape() {
 
 #[test]
 fn xl2_pass_records_exact_distances_and_resolves_heavy_peers() {
-    let out = xl2_scale_with(tiny_xl2(11), 2, &mut Trace::disabled());
+    let out = xl2_scale(tiny_xl2(11), 2, &mut Trace::disabled());
     assert!(out.aware.heavy_before > 0);
     assert!(
         (out.aware.heavy_after as f64) < 0.2 * out.aware.heavy_before as f64,

@@ -12,6 +12,7 @@
 use proxbal::sim::experiments::fig56_class_loads;
 use proxbal::sim::metrics::Summary;
 use proxbal::sim::{Scenario, TopologyKind};
+use proxbal::trace::Trace;
 use proxbal::workload::LoadModel;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
         scenario.topology = TopologyKind::None;
         scenario.load = model;
         let mut prepared = scenario.prepare();
-        let out = fig56_class_loads(&mut prepared);
+        let out = fig56_class_loads(&mut prepared, &mut Trace::disabled());
 
         println!("── {label} ──");
         println!(

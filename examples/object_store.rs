@@ -9,6 +9,7 @@
 
 use proxbal::chord::ChordNetwork;
 use proxbal::core::{BalancerConfig, LoadBalancer, LoadState, NodeClass};
+use proxbal::trace::Trace;
 use proxbal::workload::{CapacityProfile, ObjectWorkload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,7 +53,7 @@ fn main() {
         ..BalancerConfig::default()
     });
     let report = balancer
-        .run(&mut net, &mut loads, None, &mut rng)
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
         .expect("attached network");
 
     println!(

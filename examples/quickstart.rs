@@ -7,6 +7,7 @@
 
 use proxbal::chord::ChordNetwork;
 use proxbal::core::{BalancerConfig, LoadBalancer, LoadState, NodeClass};
+use proxbal::trace::Trace;
 use proxbal::workload::{CapacityProfile, LoadModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,7 +52,7 @@ fn main() {
     //    server assignment → transfer.
     let balancer = LoadBalancer::new(BalancerConfig::default());
     let report = balancer
-        .run(&mut net, &mut loads, None, &mut rng)
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
         .expect("attached network");
 
     println!(

@@ -45,7 +45,8 @@
 # unless the virtual-time flamegraph artifacts (collapsed stacks +
 # speedscope JSON) are byte-identical across thread counts and the
 # volatile artifacts exist — the determinism contract of the profiling
-# layer (DESIGN.md §5c).
+# layer (DESIGN.md §5c). It also checks that `--progress` writes
+# `progress:` heartbeat lines to stderr and that `--quiet` suppresses them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -170,8 +171,20 @@ fi
 
 if [[ "$PROFILE_SMOKE" == "1" ]]; then
   echo "==> profile smoke: repro xl2 --peers 16384 --profile (threads 1 vs 8)"
-  (cd "$SMOKE_DIR" && timeout 900 "$REPRO" xl2 --peers 16384 --threads 1 --profile p1 > prof_t1.txt \
-                   && timeout 900 "$REPRO" xl2 --peers 16384 --threads 8 --profile p8 --progress > prof_t8.txt)
+  (cd "$SMOKE_DIR" && timeout 900 "$REPRO" xl2 --peers 16384 --threads 1 --profile p1 --progress --quiet \
+                          > prof_t1.txt 2> prof_t1.err \
+                   && timeout 900 "$REPRO" xl2 --peers 16384 --threads 8 --profile p8 --progress \
+                          > prof_t8.txt 2> prof_t8.err)
+  # Heartbeats: --progress writes them to stderr, --quiet silences them,
+  # and neither run lets one reach stdout.
+  grep -q "^progress: xl2: " "$SMOKE_DIR/prof_t8.err" || {
+    echo "profile smoke: --progress wrote no progress lines to stderr" >&2; exit 1; }
+  if grep -q "^progress: " "$SMOKE_DIR/prof_t1.err"; then
+    echo "profile smoke: --quiet did not suppress progress lines" >&2; exit 1
+  fi
+  if grep -q "^progress: " "$SMOKE_DIR/prof_t1.txt" "$SMOKE_DIR/prof_t8.txt"; then
+    echo "profile smoke: progress lines leaked into stdout" >&2; exit 1
+  fi
   # Virtual-time flamegraphs are pure functions of the trace: byte-identical.
   cmp "$SMOKE_DIR/p1/flame.virt.folded" "$SMOKE_DIR/p8/flame.virt.folded" || {
     echo "virtual-time folded stacks differ across thread counts" >&2; exit 1; }

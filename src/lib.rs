@@ -22,8 +22,9 @@
 //!   discrete-event engine, churn, the continuous-operation engine
 //!   ([`sim::run_engine`]) and the drivers regenerating every figure of
 //!   the paper;
-//! * [`trace`] — the deterministic virtual-time trace collector the
-//!   traced entry points record into.
+//! * [`trace`] — the deterministic virtual-time trace collector every
+//!   operation records into (pass [`trace::Trace::disabled`] to record
+//!   nothing; the results are identical either way).
 //!
 //! This facade crate re-exports the workspace so `use proxbal::…` works
 //! from examples and downstream code.
@@ -33,6 +34,7 @@
 //! ```
 //! use proxbal::core::{BalancerConfig, LoadBalancer, LoadState};
 //! use proxbal::chord::ChordNetwork;
+//! use proxbal::trace::Trace;
 //! use proxbal::workload::{CapacityProfile, LoadModel};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -52,9 +54,10 @@
 //!     &mut rng,
 //! );
 //!
-//! // One balancing pass: aggregate → classify → assign → transfer.
+//! // One balancing pass: aggregate → classify → assign → transfer. The
+//! // trace records per-phase spans; a disabled one records nothing.
 //! let report = LoadBalancer::new(BalancerConfig::default())
-//!     .run(&mut net, &mut loads, None, &mut rng)
+//!     .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
 //!     .expect("attached network");
 //! assert_eq!(report.heavy_after(), 0);
 //! ```

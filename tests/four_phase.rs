@@ -7,6 +7,7 @@ use proxbal::core::{
 };
 use proxbal::sim::metrics::gini;
 use proxbal::sim::{Scenario, TopologyKind};
+use proxbal::trace::Trace;
 use proxbal::workload::{CapacityProfile, LoadModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +32,13 @@ fn full_run_balances_and_preserves_invariants() {
     let balancer = LoadBalancer::new(BalancerConfig::default());
     let mut rng = prepared.derived_rng(1);
     let report = balancer
-        .run(&mut prepared.net, &mut prepared.loads, None, &mut rng)
+        .run(
+            &mut prepared.net,
+            &mut prepared.loads,
+            None,
+            &mut rng,
+            &mut Trace::disabled(),
+        )
         .unwrap();
 
     prepared.net.check_invariants().unwrap();
@@ -69,7 +76,9 @@ fn works_for_both_load_models_and_degrees() {
             k,
             ..BalancerConfig::default()
         });
-        let report = balancer.run(&mut net, &mut loads, None, &mut rng).unwrap();
+        let report = balancer
+            .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
+            .unwrap();
         let heavy_before = report.before[&NodeClass::Heavy];
         assert!(heavy_before > 0, "model {model:?} produced no heavy nodes");
         assert!(
@@ -98,7 +107,13 @@ fn epsilon_trades_movement_for_balance() {
         let balancer = LoadBalancer::new(prepared.scenario.balancer);
         let mut rng = prepared.derived_rng(2);
         let report = balancer
-            .run(&mut prepared.net, &mut prepared.loads, None, &mut rng)
+            .run(
+                &mut prepared.net,
+                &mut prepared.loads,
+                None,
+                &mut rng,
+                &mut Trace::disabled(),
+            )
             .unwrap();
         moved.push(proxbal::core::total_moved_load(&report.transfers));
         // ε = 0 may leave a few stragglers (whole virtual servers cannot hit
@@ -129,7 +144,13 @@ fn higher_capacity_nodes_carry_more_after_balancing() {
     let balancer = LoadBalancer::new(BalancerConfig::default());
     let mut rng = prepared.derived_rng(3);
     let _ = balancer
-        .run(&mut prepared.net, &mut prepared.loads, None, &mut rng)
+        .run(
+            &mut prepared.net,
+            &mut prepared.loads,
+            None,
+            &mut rng,
+            &mut Trace::disabled(),
+        )
         .unwrap();
 
     let mut per_class: std::collections::BTreeMap<usize, (f64, usize)> = Default::default();
@@ -183,7 +204,7 @@ fn stale_assignments_are_skipped_when_peers_crash_between_vsa_and_vst() {
         &assignments,
         None,
         1,
-        &mut proxbal::trace::Trace::disabled(),
+        &mut Trace::disabled(),
     )
     .unwrap();
     net.check_invariants().unwrap();
@@ -208,7 +229,7 @@ fn ignorant_mode_requires_no_underlay_aware_panics_without() {
     );
     // Ignorant without underlay: fine.
     let _ = LoadBalancer::new(BalancerConfig::default())
-        .run(&mut net, &mut loads, None, &mut rng)
+        .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
         .unwrap();
     // Aware without underlay: must panic.
     let result = std::panic::catch_unwind(move || {
@@ -218,7 +239,7 @@ fn ignorant_mode_requires_no_underlay_aware_panics_without() {
             ..BalancerConfig::default()
         };
         LoadBalancer::new(cfg)
-            .run(&mut net, &mut loads, None, &mut rng)
+            .run(&mut net, &mut loads, None, &mut rng, &mut Trace::disabled())
             .unwrap()
     });
     assert!(result.is_err());

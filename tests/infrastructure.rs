@@ -8,6 +8,7 @@ use proxbal::ktree::KTree;
 use proxbal::sim::churn::{run_churn, ChurnConfig};
 use proxbal::sim::latency::{aggregation_latency, root_path_latencies};
 use proxbal::sim::{Scenario, TopologyKind};
+use proxbal::trace::Trace;
 use proxbal::workload::{CapacityProfile, LoadModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,13 +124,25 @@ fn balance_runs_back_to_back_converge() {
     let mut rng = prepared.derived_rng(5);
 
     let first = balancer
-        .run(&mut prepared.net, &mut prepared.loads, None, &mut rng)
+        .run(
+            &mut prepared.net,
+            &mut prepared.loads,
+            None,
+            &mut rng,
+            &mut Trace::disabled(),
+        )
         .unwrap();
     assert!(!first.transfers.is_empty());
     assert_eq!(first.heavy_after(), 0);
 
     let second = balancer
-        .run(&mut prepared.net, &mut prepared.loads, None, &mut rng)
+        .run(
+            &mut prepared.net,
+            &mut prepared.loads,
+            None,
+            &mut rng,
+            &mut Trace::disabled(),
+        )
         .unwrap();
     let moved_first = proxbal::core::total_moved_load(&first.transfers);
     let moved_second = proxbal::core::total_moved_load(&second.transfers);

@@ -7,6 +7,7 @@ use proxbal::sim::experiments::{
 };
 use proxbal::sim::metrics::gini;
 use proxbal::sim::{Scenario, TopologyKind};
+use proxbal::trace::Trace;
 use proxbal::workload::LoadModel;
 
 fn scenario(seed: u64, peers: usize, topology: TopologyKind) -> Scenario {
@@ -19,7 +20,7 @@ fn scenario(seed: u64, peers: usize, topology: TopologyKind) -> Scenario {
 #[test]
 fn fig4_shape_majority_heavy_then_none() {
     let mut prepared = scenario(81, 512, TopologyKind::None).prepare();
-    let out = fig4_unit_load(&mut prepared);
+    let out = fig4_unit_load(&mut prepared, &mut Trace::disabled());
     // Paper: "The percentage of heavy nodes are about 75%".
     let frac = out.report.heavy_before_fraction();
     assert!(
@@ -38,7 +39,7 @@ fn fig5_fig6_shape_load_tracks_capacity() {
         let mut s = scenario(82, 512, TopologyKind::None);
         s.load = load;
         let mut prepared = s.prepare();
-        let out = fig56_class_loads(&mut prepared);
+        let out = fig56_class_loads(&mut prepared, &mut Trace::disabled());
         // Post-balance unit load (mean load / capacity) within a factor ~3
         // across populated high-capacity classes: the two skews aligned.
         let mut unit_means = Vec::new();
@@ -61,7 +62,7 @@ fn fig5_fig6_shape_load_tracks_capacity() {
 #[test]
 fn fig7_shape_aware_dominates_on_clustered_topology() {
     let prepared = scenario(83, 1024, TopologyKind::Ts5kLarge).prepare();
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
     // The aware scheme must land a large share of moved load inside stub
     // domains (≤ 2 hops) — the ignorant scheme lands almost none.
     assert!(out.aware.fraction_within(2) > 0.25);
@@ -74,11 +75,14 @@ fn fig7_shape_aware_dominates_on_clustered_topology() {
 #[test]
 fn fig8_shape_weaker_but_persistent_advantage() {
     let prepared = scenario(84, 1024, TopologyKind::Ts5kSmall).prepare();
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
     // Scattered peers: locality shrinks for both, but aware still wins.
     assert!(out.aware.mean_distance() < out.ignorant.mean_distance());
     // And the advantage is smaller than on ts5k-large (the paper's point).
-    let large = fig78_moved_load(&scenario(84, 1024, TopologyKind::Ts5kLarge).prepare());
+    let large = fig78_moved_load(
+        &scenario(84, 1024, TopologyKind::Ts5kLarge).prepare(),
+        &mut Trace::disabled(),
+    );
     let gain_small = out.ignorant.mean_distance() - out.aware.mean_distance();
     let gain_large = large.ignorant.mean_distance() - large.aware.mean_distance();
     assert!(
@@ -89,7 +93,7 @@ fn fig8_shape_weaker_but_persistent_advantage() {
 
 #[test]
 fn rounds_shape_logarithmic_scaling() {
-    let rows = rounds_scaling(&[128, 512, 2048], &[2], 85, 2);
+    let rows = rounds_scaling(&[128, 512, 2048], &[2], 85, 2, &mut Trace::disabled());
     // 16× more peers: rounds grow by a bounded additive amount (log), not
     // multiplicatively.
     let r128 = rows.iter().find(|r| r.peers == 128).unwrap();
@@ -103,7 +107,7 @@ fn rounds_shape_logarithmic_scaling() {
 
 #[test]
 fn latency_shape_k8_faster_than_k2() {
-    let rows = protocol_latency(&[256], &[2, 8], &[0.0], 86, 2);
+    let rows = protocol_latency(&[256], &[2, 8], &[0.0], 86, 2, &mut Trace::disabled());
     let t2 = rows.iter().find(|r| r.k == 2).unwrap();
     let t8 = rows.iter().find(|r| r.k == 8).unwrap();
     assert!(
