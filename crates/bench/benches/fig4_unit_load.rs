@@ -1,6 +1,6 @@
 //! Benchmarks the Figure-4 pipeline (full four-phase balance run, Gaussian
 //! workload, no underlay) across overlay sizes. The *data* for Figure 4 is
-//! produced by `cargo run -p proxbal-bench --bin repro -- --fig 4`; this
+//! produced by `cargo run -p proxbal-bench --bin repro -- figs 4`; this
 //! bench tracks how fast the balancer itself is.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,8 +1,7 @@
 //! Benchmarks the Figure-7/8 pipeline: proximity-aware vs proximity-ignorant
 //! balance runs over a transit-stub topology (including landmark-vector
 //! computation and Hilbert publication). Figure data comes from
-//! `repro --fig 7` / `--fig 8`; this bench compares the *cost* of the two
-//! modes.
+//! `repro figs 7 8`; this bench compares the *cost* of the two modes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use proxbal_core::{BalancerConfig, LoadBalancer, ProximityMode, ProximityParams};

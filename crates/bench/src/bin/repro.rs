@@ -1,17 +1,23 @@
 //! Regenerates every figure and claim of the paper's evaluation (§5).
 //!
-//! The verb-first form groups the phases into subcommands:
+//! The first argument names what to run; no argument at all runs `all`:
 //!
 //! ```text
 //! repro figs [4 5 6 7 8]   # the figure grid (all five when none given)
 //! repro claims [names...]  # the claim grid (all seven when none given)
 //! repro faults [rate]      # fault-injection sweep at losses {0,1%,5%,rate}
-//! repro xl                 # 65,536 peers on a ts50k underlay (bounded RAM)
 //! repro xl2                # 1,048,576 peers: sharded prepare + exact distances
 //! repro engine             # continuous operation: churn + drift + loss
 //! repro all                # the full figure + claim grid
 //! repro analyze <files>    # behavioral queries over a run's artifacts
 //! ```
+//!
+//! The figures are 4 (unit-load scatter before/after), 5 and 6 (load by
+//! capacity class, Gaussian and Pareto), 7 and 8 (moved load vs distance on
+//! ts5k-large and ts5k-small). The claims are `rounds` (§5.2: VSA completes
+//! in O(log_K N) rounds), `repair` (§3.1.1: tree self-repair after
+//! crashes), `baselines` (§1.1: CFS thrashing), `ablations`, `overhead`,
+//! `latency` and `drift`.
 //!
 //! `repro analyze` takes the artifacts a run wrote — an `EngineReport`
 //! JSON (`repro engine --json r.json`) and/or a trace event log
@@ -25,33 +31,24 @@
 //! repro analyze ... --gates gates/ --out analyze-report.json
 //! ```
 //!
-//! Shared flags may follow any subcommand (and the legacy flag-only
-//! spelling below keeps working — `repro --all` is an alias of
-//! `repro all`):
+//! Flags follow the subcommand and its operands:
 //!
 //! ```text
-//! repro --fig 4            # Figure 4: unit-load scatter before/after
-//! repro --fig 5            # Figure 5: load by capacity class (Gaussian)
-//! repro --fig 6            # Figure 6: load by capacity class (Pareto)
-//! repro --fig 7            # Figure 7: moved load vs distance, ts5k-large
-//! repro --fig 8            # Figure 8: moved load vs distance, ts5k-small
-//! repro --claim rounds     # §5.2: VSA completes in O(log_K N) rounds
-//! repro --claim repair     # §3.1.1: tree self-repair after crashes
-//! repro --claim baselines  # §1.1: CFS thrashing comparison
-//! repro --all              # everything
-//! repro --scale xl         # 65,536 peers on a ts50k underlay (bounded RAM)
-//! repro ... --scale small  # reduced size for quick runs
-//! repro xl2 --peers 65536  # xl2 machinery at a reduced peer count (smoke)
+//! repro ... --scale small  # reduced size for quick runs (default: full)
 //! repro ... --seed 42      # change the master seed
 //! repro ... --threads 4    # worker threads for the sweep engine
 //! repro ... --timing       # per-phase wall-clock -> BENCH_repro.json
-//! repro --faults 0.1       # fault-injection sweep at loss rates {0,1%,5%,10%}
+//! repro ... --json r.json  # results as JSON
 //! repro ... --trace t.json # chrome://tracing trace + t.ndjson event log
-//! repro engine --epochs 50 # epoch count of the continuous-operation run
 //! repro ... --profile out/ # flamegraphs + resource profile into out/
 //! repro ... --progress     # heartbeat lines (epoch k/N, RSS, allocs) on stderr
 //! repro ... --quiet        # suppress heartbeats even if --progress is set
+//! repro xl2 --peers 65536  # xl2 machinery at a reduced peer count
+//! repro engine --epochs 50 # epoch count of the continuous-operation run
 //! ```
+//!
+//! Bad input — an unknown subcommand, flag or `--scale` value, a flag that
+//! belongs to another subcommand — exits 2 with a one-line message.
 //!
 //! Every phase derives its state from the master seed alone, so the output
 //! is bit-identical regardless of `--threads`. The `--trace` collector
@@ -99,18 +96,13 @@ macro_rules! say {
     }};
 }
 
+const PAPER: &str =
+    "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)";
+
 #[derive(Clone, Copy, PartialEq)]
 enum Scale {
     Full,
     Small,
-    /// 65,536 peers over a ~50k-node underlay with a bounded oracle cache.
-    /// Runs its own phase (four balancer phases + the fig-7-shaped
-    /// proximity sweep) instead of the figure/claim grid.
-    Xl,
-    /// 1,048,576 peers: sharded preparation, sharded KT-tree build and
-    /// exact transfer distances. One proximity-aware pass, in place.
-    /// `--peers` rescales it for smoke runs.
-    Xl2,
 }
 
 impl Scale {
@@ -118,38 +110,97 @@ impl Scale {
         match self {
             Scale::Full => "full",
             Scale::Small => "small",
-            Scale::Xl => "xl",
-            Scale::Xl2 => "xl2",
         }
     }
 }
 
+/// One figure or claim of the grid: its BENCH/JSON key and its driver.
+#[derive(Clone)]
+struct Phase {
+    key: String,
+    run: PhaseFn,
+}
+
+type PhaseFn = fn(&Args, &mut Trace) -> (String, serde_json::Value);
+
+/// The paper's figures, in `repro figs` order.
+const FIGS: [(&str, PhaseFn); 5] = [
+    ("4", fig4),
+    ("5", |args, trace| fig56(args, false, trace)),
+    ("6", |args, trace| fig56(args, true, trace)),
+    ("7", |args, trace| {
+        fig78(args, TopologyKind::Ts5kLarge, 7, trace)
+    }),
+    ("8", |args, trace| {
+        fig78(args, TopologyKind::Ts5kSmall, 8, trace)
+    }),
+];
+
+/// The paper's claims and the extensions, in `repro claims` order.
+const CLAIMS: [(&str, PhaseFn); 7] = [
+    ("rounds", claim_rounds),
+    ("repair", claim_repair),
+    ("baselines", claim_baselines),
+    ("ablations", claim_ablations),
+    ("overhead", claim_overhead),
+    ("latency", claim_latency),
+    ("drift", claim_drift),
+];
+
+/// The phases of `table` that `operands` name (all of them when none is
+/// named), keyed `{noun}_{name}`; an unknown name exits 2.
+fn select(table: &[(&str, PhaseFn)], noun: &str, operands: &[String]) -> Vec<Phase> {
+    let phase = |&(name, run): &(&str, PhaseFn)| Phase {
+        key: format!("{noun}_{name}"),
+        run,
+    };
+    if operands.is_empty() {
+        return table.iter().map(phase).collect();
+    }
+    let lookup = |op: &String| match table.iter().find(|entry| entry.0 == op) {
+        Some(entry) => phase(entry),
+        None => {
+            let names: Vec<&str> = table.iter().map(|entry| entry.0).collect();
+            usage(format!(
+                "unknown {noun} {op} (expected one of: {})",
+                names.join(", ")
+            ))
+        }
+    };
+    operands.iter().map(lookup).collect()
+}
+
+/// What one invocation runs: the first argument, with its operands.
+enum Command {
+    /// `figs`, `claims` or `all`: figure and claim phases.
+    Grid(Vec<Phase>),
+    /// `faults [rate]`: the fault-injection sweep.
+    Faults(f64),
+    Xl2,
+    Engine,
+    /// `analyze <files>`: artifact paths (`.ndjson` = trace event log,
+    /// anything else = `EngineReport` JSON).
+    Analyze(Vec<String>),
+}
+
 struct Args {
-    figs: Vec<u32>,
-    claims: Vec<String>,
+    command: Command,
     scale: Scale,
     seed: u64,
     json: Option<String>,
     threads: usize,
     timing: bool,
-    faults: Option<f64>,
     /// chrome://tracing output path; also derives the `.ndjson` event-log
     /// path. `None` disables the collector entirely.
     trace: Option<String>,
-    /// `repro engine` — run the continuous-operation engine phase.
-    engine: bool,
-    /// `--epochs` override for the engine phase.
+    /// `engine --epochs`: epoch count of the continuous-operation run.
     epochs: Option<usize>,
-    /// `--peers` override for the xl2 phase (reduced-scale smoke runs).
+    /// `xl2 --peers`: reduced-scale smoke runs.
     peers: Option<usize>,
-    /// `repro analyze` — run behavioral queries/gates over run artifacts.
-    analyze: bool,
-    /// Artifact paths for `repro analyze` (`.ndjson` = trace event log,
-    /// anything else = `EngineReport` JSON).
-    inputs: Vec<String>,
-    /// `--gates <dir|file>`: evaluate gate files instead of summarizing.
+    /// `analyze --gates <dir|file>`: evaluate gate files instead of
+    /// summarizing.
     gates: Option<String>,
-    /// `--out <path>`: write the machine-readable gate report JSON.
+    /// `analyze --out <path>`: write the machine-readable gate report JSON.
     out: Option<String>,
     /// `--profile <dir>`: write flamegraph + resource-profile artifacts.
     /// Enables the trace collector and the phase profiler.
@@ -160,192 +211,128 @@ struct Args {
     quiet: bool,
 }
 
-const ALL_CLAIMS: [&str; 7] = [
-    "rounds",
-    "repair",
-    "baselines",
-    "ablations",
-    "overhead",
-    "latency",
-    "drift",
-];
+/// Reports a command-line error on one line and exits 2.
+fn usage(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
 
-/// Applies a verb-first subcommand (`repro figs 4 7`, `repro claims drift`,
-/// `repro faults 0.1`, `repro xl`, `repro engine`, `repro all`) to `args`,
-/// consuming the verb's positional operands. Returns the remaining argv —
-/// shared flags — for the common flag loop.
-fn apply_subcommand<'a>(cmd: &str, operands: &'a [String], args: &mut Args) -> &'a [String] {
-    let split = operands
-        .iter()
-        .position(|a| a.starts_with("--"))
-        .unwrap_or(operands.len());
-    let (pos, rest) = operands.split_at(split);
-    let no_operands = |cmd: &str| {
-        if !pos.is_empty() {
-            eprintln!("repro {cmd} takes no positional operands (got {pos:?})");
-            std::process::exit(2);
-        }
+/// Parses the operand `text` of `what`, exiting 2 when it is missing or
+/// malformed.
+fn value<T: std::str::FromStr>(text: Option<&String>, what: &str) -> T {
+    let Some(text) = text else {
+        usage(format!("{what} needs a value"))
     };
-    match cmd {
-        "figs" => {
-            args.figs = if pos.is_empty() {
-                vec![4, 5, 6, 7, 8]
-            } else {
-                pos.iter()
-                    .map(|v| v.parse().expect("figure number"))
-                    .collect()
-            };
-        }
-        "claims" => {
-            args.claims = if pos.is_empty() {
-                ALL_CLAIMS.iter().map(|s| s.to_string()).collect()
-            } else {
-                pos.to_vec()
-            };
-        }
-        "faults" => {
-            if pos.len() > 1 {
-                eprintln!("repro faults takes at most one loss rate");
-                std::process::exit(2);
-            }
-            args.faults = Some(pos.first().map_or(0.1, |v| v.parse().expect("loss rate")));
-        }
-        "xl" => {
-            no_operands("xl");
-            args.scale = Scale::Xl;
-        }
-        "xl2" => {
-            no_operands("xl2");
-            args.scale = Scale::Xl2;
-        }
-        "engine" => {
-            no_operands("engine");
-            args.engine = true;
-        }
-        "analyze" => {
-            if pos.is_empty() {
-                eprintln!("repro analyze needs at least one artifact path (report JSON and/or trace .ndjson)");
-                std::process::exit(2);
-            }
-            args.analyze = true;
-            args.inputs = pos.to_vec();
-        }
-        "all" => {
-            no_operands("all");
-            args.figs = vec![4, 5, 6, 7, 8];
-            args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
-        }
-        other => {
-            eprintln!("unknown subcommand {other} (expected figs|claims|faults|xl|xl2|engine|analyze|all)");
-            std::process::exit(2);
-        }
-    }
-    rest
+    text.parse()
+        .unwrap_or_else(|_| usage(format!("{what}: invalid value {text:?}")))
 }
 
 fn parse_args() -> Args {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let verb = argv.first().map_or("all", String::as_str);
+    let rest = argv.get(1..).unwrap_or_default();
+    let split = rest
+        .iter()
+        .position(|a| a.starts_with("--"))
+        .unwrap_or(rest.len());
+    let (operands, flags) = rest.split_at(split);
+    let no_operands = || {
+        if !operands.is_empty() {
+            usage(format!(
+                "repro {verb} takes no positional operands (got {operands:?})"
+            ));
+        }
+    };
+    let command = match verb {
+        "figs" => Command::Grid(select(&FIGS, "figure", operands)),
+        "claims" => Command::Grid(select(&CLAIMS, "claim", operands)),
+        "all" => {
+            no_operands();
+            Command::Grid([select(&FIGS, "figure", &[]), select(&CLAIMS, "claim", &[])].concat())
+        }
+        "faults" => {
+            if operands.len() > 1 {
+                usage("repro faults takes at most one loss rate");
+            }
+            let rate = operands
+                .first()
+                .map_or(0.1, |v| value(Some(v), "loss rate"));
+            if !(0.0..1.0).contains(&rate) {
+                usage(format!("loss rate must be in [0, 1) (got {rate})"));
+            }
+            Command::Faults(rate)
+        }
+        "xl2" => {
+            no_operands();
+            Command::Xl2
+        }
+        "engine" => {
+            no_operands();
+            Command::Engine
+        }
+        "analyze" if operands.is_empty() => usage(
+            "repro analyze needs at least one artifact path (report JSON and/or trace .ndjson)",
+        ),
+        "analyze" => Command::Analyze(operands.to_vec()),
+        other => usage(format!(
+            "unknown subcommand {other} (expected one of figs|claims|faults|xl2|engine|analyze|all)"
+        )),
+    };
+
     let mut args = Args {
-        figs: Vec::new(),
-        claims: Vec::new(),
+        command,
         scale: Scale::Full,
         seed: 1,
         json: None,
         threads: proxbal_parallel::default_threads(),
         timing: false,
-        faults: None,
         trace: None,
-        engine: false,
         epochs: None,
         peers: None,
-        analyze: false,
-        inputs: Vec::new(),
         gates: None,
         out: None,
         profile: None,
         progress: false,
         quiet: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let flags: &[String] = match argv.first() {
-        Some(first) if !first.starts_with("--") => apply_subcommand(first, &argv[1..], &mut args),
-        _ => &argv,
-    };
-    let mut it = flags.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fig" => {
-                let v = it.next().expect("--fig needs a number");
-                args.figs.push(v.parse().expect("figure number"));
-            }
-            "--claim" => args.claims.push(it.next().expect("--claim needs a name")),
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        // Flags that only one subcommand reads.
+        let owner = match flag {
+            "--epochs" => "engine",
+            "--peers" => "xl2",
+            "--gates" | "--out" => "analyze",
+            _ => verb,
+        };
+        if owner != verb {
+            usage(format!("{flag} only applies to repro {owner}"));
+        }
+        match flag {
             "--scale" => {
-                args.scale = match it.next().expect("--scale needs full|small|xl|xl2").as_str() {
-                    "small" => Scale::Small,
-                    "xl" => Scale::Xl,
-                    "xl2" => Scale::Xl2,
-                    _ => Scale::Full,
+                args.scale = match it.next().map(String::as_str) {
+                    Some("full") => Scale::Full,
+                    Some("small") => Scale::Small,
+                    other => usage(format!(
+                        "--scale expects full|small (got {})",
+                        other.unwrap_or("nothing")
+                    )),
                 }
             }
-            "--seed" => args.seed = it.next().expect("--seed needs a value").parse().unwrap(),
-            "--json" => args.json = Some(it.next().expect("--json needs a path")),
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("thread count");
-            }
+            "--seed" => args.seed = value(it.next(), flag),
+            "--json" => args.json = Some(value(it.next(), flag)),
+            "--threads" => args.threads = value(it.next(), flag),
             "--timing" => args.timing = true,
-            "--trace" => args.trace = Some(it.next().expect("--trace needs a path")),
-            "--faults" => {
-                args.faults = Some(
-                    it.next()
-                        .expect("--faults needs a loss rate")
-                        .parse()
-                        .expect("loss rate"),
-                );
-            }
-            "--epochs" => {
-                args.epochs = Some(
-                    it.next()
-                        .expect("--epochs needs a count")
-                        .parse()
-                        .expect("epoch count"),
-                );
-            }
-            "--peers" => {
-                args.peers = Some(
-                    it.next()
-                        .expect("--peers needs a count")
-                        .parse()
-                        .expect("peer count"),
-                );
-            }
-            "--gates" => args.gates = Some(it.next().expect("--gates needs a dir or file")),
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            "--profile" => args.profile = Some(it.next().expect("--profile needs a directory")),
+            "--trace" => args.trace = Some(value(it.next(), flag)),
+            "--epochs" => args.epochs = Some(value(it.next(), flag)),
+            "--peers" => args.peers = Some(value(it.next(), flag)),
+            "--gates" => args.gates = Some(value(it.next(), flag)),
+            "--out" => args.out = Some(value(it.next(), flag)),
+            "--profile" => args.profile = Some(value(it.next(), flag)),
             "--progress" => args.progress = true,
             "--quiet" => args.quiet = true,
-            "--all" => {
-                args.figs = vec![4, 5, 6, 7, 8];
-                args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage(format!("unknown argument {other}")),
         }
-    }
-    if args.scale != Scale::Xl
-        && args.scale != Scale::Xl2
-        && !args.engine
-        && !args.analyze
-        && args.faults.is_none()
-        && args.figs.is_empty()
-        && args.claims.is_empty()
-    {
-        args.figs = vec![4, 5, 6, 7, 8];
-        args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
     }
     args
 }
@@ -359,46 +346,9 @@ fn scenario(args: &Args, topology: TopologyKind) -> Scenario {
             .landmarks(15)
             .seed(args.seed)
             .build(),
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     s.topology = topology;
     s
-}
-
-#[derive(Clone)]
-enum Phase {
-    Fig(u32),
-    Claim(String),
-}
-
-impl Phase {
-    fn key(&self) -> String {
-        match self {
-            Phase::Fig(n) => format!("figure_{n}"),
-            Phase::Claim(c) => format!("claim_{c}"),
-        }
-    }
-}
-
-fn run_phase(phase: &Phase, args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
-    match phase {
-        Phase::Fig(4) => fig4(args, trace),
-        Phase::Fig(5) => fig56(args, false, trace),
-        Phase::Fig(6) => fig56(args, true, trace),
-        Phase::Fig(7) => fig78(args, TopologyKind::Ts5kLarge, 7, trace),
-        Phase::Fig(8) => fig78(args, TopologyKind::Ts5kSmall, 8, trace),
-        Phase::Fig(_) => unreachable!("validated in main"),
-        Phase::Claim(c) => match c.as_str() {
-            "rounds" => claim_rounds(args, trace),
-            "repair" => claim_repair(args, trace),
-            "baselines" => claim_baselines(args, trace),
-            "ablations" => claim_ablations(args, trace),
-            "drift" => claim_drift(args, trace),
-            "latency" => claim_latency(args, trace),
-            "overhead" => claim_overhead(args, trace),
-            _ => unreachable!("validated in main"),
-        },
-    }
 }
 
 /// The largest message-ish count anywhere in a phase's JSON — the per-phase
@@ -424,8 +374,8 @@ fn peak_messages(v: &serde_json::Value) -> Option<u64> {
 }
 
 /// Merges `key` → `entry` into BENCH_repro.json, preserving every other
-/// top-level key an earlier run recorded (the `--timing` doc and the `xl`
-/// entry are written by different invocations).
+/// top-level key an earlier run recorded (the `--timing` grid, `faults`,
+/// `engine` and `xl2` entries are written by different invocations).
 fn merge_bench_json(key: &str, entry: serde_json::Value) {
     let mut doc = std::fs::read_to_string("BENCH_repro.json")
         .ok()
@@ -439,12 +389,7 @@ fn merge_bench_json(key: &str, entry: serde_json::Value) {
         doc.insert("bench".to_string(), serde_json::json!("repro"));
     }
     if !doc.contains_key("paper") {
-        doc.insert(
-            "paper".to_string(),
-            serde_json::json!(
-                "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)"
-            ),
-        );
+        doc.insert("paper".to_string(), serde_json::json!(PAPER));
     }
     doc.insert(key.to_string(), entry);
     std::fs::write(
@@ -455,105 +400,12 @@ fn merge_bench_json(key: &str, entry: serde_json::Value) {
     println!("wrote BENCH_repro.json ({key})");
 }
 
-/// The xl-scale phase: all four balancer phases at 65,536 peers over a
-/// ts50k underlay (twice: aware + ignorant — the fig-7-shaped proximity
-/// sweep), with wall time and peak RSS appended to BENCH_repro.json.
-fn run_xl(args: &Args, trace: &mut Trace) {
-    for fig in &args.figs {
-        assert!(
-            *fig == 7,
-            "--scale xl runs the fig-7-shaped sweep only (got --fig {fig})"
-        );
-    }
-    assert!(
-        args.claims.is_empty(),
-        "--scale xl does not run the claim grid"
-    );
-    println!(
-        "── xl scale: four-phase protocol at 65,536 peers on ts50k (seed {}) ──",
-        args.seed
-    );
-    let total = Instant::now();
-    let out = proxbal_sim::experiments::xl_scale(args.seed, args.threads, trace);
-    let total_wall = total.elapsed().as_secs_f64();
-    let peak_rss = proxbal_bench::peak_rss_bytes();
-
-    println!(
-        "underlay: {} nodes   peers: {}   virtual servers: {}   oracle cache: {} rows",
-        out.underlay_nodes, out.peers, out.virtual_servers, out.oracle_capacity
-    );
-    println!("prepare: {:.1}s", out.prepare_wall_s);
-    for run in [&out.aware, &out.ignorant] {
-        println!(
-            "{:<18}: {}   heavy {} -> {}   transfers {}   {:.1}s",
-            format!("proximity-{}", run.label),
-            headline(&run.histogram),
-            run.heavy_before,
-            run.heavy_after,
-            run.transfers,
-            run.wall_s
-        );
-    }
-    println!("\n  CDF of moved load (distance: aware | ignorant)");
-    for d in [0u32, 1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50] {
-        println!(
-            "  <={d:>3} hops: {:6.1}% | {:6.1}%",
-            (100.0 * out.aware.histogram.fraction_within(d)).max(0.0),
-            (100.0 * out.ignorant.histogram.fraction_within(d)).max(0.0)
-        );
-    }
-    match peak_rss {
-        Some(b) => println!(
-            "total: {total_wall:.1}s   peak RSS: {:.2} GiB",
-            b as f64 / (1u64 << 30) as f64
-        ),
-        None => println!("total: {total_wall:.1}s   peak RSS: unavailable"),
-    }
-
-    let entry = serde_json::json!({
-        "seed": args.seed,
-        "peers": out.peers,
-        "underlay_nodes": out.underlay_nodes,
-        "virtual_servers": out.virtual_servers,
-        "oracle_capacity": out.oracle_capacity,
-        "threads": args.threads,
-        "total_wall_s": total_wall,
-        "prepare_wall_s": out.prepare_wall_s,
-        "aware_wall_s": out.aware.wall_s,
-        "ignorant_wall_s": out.ignorant.wall_s,
-        "peak_rss_bytes": peak_rss.unwrap_or(0),
-        "lbi_messages": out.aware.lbi_messages,
-        "vsa_record_hops": out.aware.vsa_record_hops,
-        "aware_frac2": out.aware.frac2,
-        "aware_frac10": out.aware.frac10,
-        "ignorant_frac10": out.ignorant.frac10,
-        "heavy_after": out.aware.heavy_after.max(out.ignorant.heavy_after),
-    });
-    merge_bench_json("xl", entry);
-
-    if let Some(path) = &args.json {
-        let doc = serde_json::json!({
-            "paper": "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)",
-            "seed": args.seed,
-            "scale": "xl",
-            "results": serde_json::to_value(&out).expect("serialize xl output"),
-        });
-        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-            .expect("write json");
-        println!("wrote {path}");
-    }
-}
-
 /// The xl2 phase: the million-peer run — sharded preparation, sharded
 /// KT-tree build, exact transfer distances — through one
 /// proximity-aware four-phase pass executed in place. Appends an `xl2`
 /// entry to BENCH_repro.json unless `--peers` rescaled the run (smoke runs
 /// must not clobber the committed full-scale entry).
-fn run_xl2(args: &Args, trace: &mut Trace) {
-    assert!(
-        args.figs.is_empty() && args.claims.is_empty(),
-        "repro xl2 runs its own phase (figures/claims not supported)"
-    );
+fn run_xl2(args: &Args, trace: &mut Trace) -> serde_json::Value {
     let mut scenario = Scenario::builder().xl2().seed(args.seed).build();
     if let Some(p) = args.peers {
         scenario.peers = p;
@@ -644,18 +496,7 @@ fn run_xl2(args: &Args, trace: &mut Trace) {
         });
         merge_bench_json("xl2", entry);
     }
-
-    if let Some(path) = &args.json {
-        let doc = serde_json::json!({
-            "paper": "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)",
-            "seed": args.seed,
-            "scale": "xl2",
-            "results": serde_json::to_value(&out).expect("serialize xl2 output"),
-        });
-        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-            .expect("write json");
-        println!("wrote {path}");
-    }
+    serde_json::to_value(&out).expect("serialize xl2 output")
 }
 
 /// Wall seconds of the phase profiler's `round/{lbi,aggregate,vsa,transfer}`
@@ -677,17 +518,13 @@ fn round_phase_seconds() -> [f64; 4] {
     })
 }
 
-/// The `--faults <rate>` phase: the four-phase protocol driven through a
+/// The `repro faults [rate]` phase: the four-phase protocol driven through a
 /// seeded fault plan at loss rates {0, 1%, 5%, `<rate>`}, reporting phase
 /// completion, repair work, convergence rounds and residual imbalance per
 /// rate. Every merged metric is a pure function of `(seed, rates)` — no
 /// wall-clocks — so the entry is byte-stable across machines and thread
 /// counts and can be diffed by the CI bench-drift gate.
-fn run_faults(args: &Args, rate: f64, trace: &mut Trace) {
-    assert!(
-        (0.0..1.0).contains(&rate),
-        "--faults rate must be in [0, 1)"
-    );
+fn run_faults(args: &Args, rate: f64, trace: &mut Trace) -> serde_json::Value {
     let mut rates = vec![0.0, 0.01, 0.05, rate];
     rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rate"));
     rates.dedup();
@@ -737,6 +574,7 @@ fn run_faults(args: &Args, rate: f64, trace: &mut Trace) {
         "rows": rows,
     });
     merge_bench_json("faults", entry);
+    serde_json::to_value(&rows).expect("serialize fault sweep rows")
 }
 
 /// The `repro engine` phase: continuous operation — Poisson churn,
@@ -746,15 +584,7 @@ fn run_faults(args: &Args, rate: f64, trace: &mut Trace) {
 /// BENCH_repro.json; every merged field except the wall-clock and thread
 /// count is a pure function of the seed, so the entry is byte-stable
 /// across machines and `--threads` settings.
-fn run_engine_cmd(args: &Args, trace: &mut Trace) {
-    assert!(
-        args.figs.is_empty() && args.claims.is_empty(),
-        "repro engine runs its own phase (figures/claims not supported)"
-    );
-    assert!(
-        args.scale != Scale::Xl && args.scale != Scale::Xl2,
-        "repro engine runs at full or small scale"
-    );
+fn run_engine_cmd(args: &Args, trace: &mut Trace) -> serde_json::Value {
     let cfg = proxbal_sim::EngineConfig {
         epochs: args.epochs.unwrap_or(50),
         ..proxbal_sim::EngineConfig::default()
@@ -852,18 +682,7 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace) {
         "final_alive": report.samples.last().map_or(0, |s| s.alive_peers),
     });
     merge_bench_json("engine", entry);
-
-    if let Some(path) = &args.json {
-        let doc = serde_json::json!({
-            "paper": "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)",
-            "seed": args.seed,
-            "scale": args.scale.name(),
-            "results": serde_json::to_value(&report).expect("serialize engine report"),
-        });
-        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-            .expect("write json");
-        println!("wrote {path}");
-    }
+    serde_json::to_value(&report).expect("serialize engine report")
 }
 
 /// Writes the collected trace (chrome://tracing JSON at the `--trace` path,
@@ -937,10 +756,10 @@ fn finish_profile(args: &Args, trace: &Trace) {
 /// `repro analyze`: loads the run artifacts named on the command line,
 /// then either prints the behavioral summary or — with `--gates` —
 /// evaluates every gate file and exits nonzero on any violation.
-fn run_analyze(args: &Args) {
+fn run_analyze(args: &Args, inputs: &[String]) {
     use proxbal_analyze::{evaluate_gates, parse_gate_file, render_table, Run};
     let mut run = Run::default();
-    for path in &args.inputs {
+    for path in inputs {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
@@ -1016,110 +835,79 @@ fn run_analyze(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    if args.analyze {
-        run_analyze(&args);
-        return;
-    }
     // Allocation accounting is on for every run (it only feeds stderr
     // heartbeats, volatile profile artifacts and schema-gated BENCH
     // fields, so stdout stays byte-identical); the phase profiler with
     // --profile, and for xl2, whose per-phase walls are its `round/*` rows.
     proxbal_profile::enable_counting();
-    if args.profile.is_some() || args.scale == Scale::Xl2 {
+    if args.profile.is_some() || matches!(args.command, Command::Xl2) {
         proxbal_profile::enable_profiler();
     }
     if args.progress && !args.quiet {
         proxbal_profile::progress::install(Box::new(StderrSink::default()));
     }
     let mut trace = Trace::new(args.trace.is_some() || args.profile.is_some(), "repro");
-    if args.engine {
-        {
-            let _p = proxbal_profile::phase("engine");
-            run_engine_cmd(&args, &mut trace);
-        }
-        finish_trace(&args, &trace);
-        finish_profile(&args, &trace);
-        return;
-    }
-    if args.scale == Scale::Xl {
-        {
-            let _p = proxbal_profile::phase("xl");
-            run_xl(&args, &mut trace);
-        }
-        finish_trace(&args, &trace);
-        finish_profile(&args, &trace);
-        return;
-    }
-    if args.scale == Scale::Xl2 {
-        {
-            let _p = proxbal_profile::phase("xl2");
-            run_xl2(&args, &mut trace);
-        }
-        finish_trace(&args, &trace);
-        finish_profile(&args, &trace);
-        return;
-    }
-    if let Some(rate) = args.faults {
-        {
+    let results = match &args.command {
+        Command::Analyze(inputs) => return run_analyze(&args, inputs),
+        Command::Grid(phases) => run_grid(&args, phases, &mut trace),
+        Command::Faults(rate) => {
             let _p = proxbal_profile::phase("faults");
-            run_faults(&args, rate, &mut trace);
+            run_faults(&args, *rate, &mut trace)
         }
-        if args.figs.is_empty() && args.claims.is_empty() {
-            finish_trace(&args, &trace);
-            finish_profile(&args, &trace);
-            return;
+        Command::Xl2 => {
+            let _p = proxbal_profile::phase("xl2");
+            run_xl2(&args, &mut trace)
         }
+        Command::Engine => {
+            let _p = proxbal_profile::phase("engine");
+            run_engine_cmd(&args, &mut trace)
+        }
+    };
+    if let Some(path) = &args.json {
+        let scale = match args.command {
+            Command::Xl2 => "xl2",
+            _ => args.scale.name(),
+        };
+        let doc = serde_json::json!({
+            "paper": PAPER,
+            "seed": args.seed,
+            "scale": scale,
+            "results": results,
+        });
+        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
+            .expect("write json");
+        println!("wrote {path}");
     }
-    let mut phases: Vec<Phase> = Vec::new();
-    for &fig in &args.figs {
-        if (4..=8).contains(&fig) {
-            phases.push(Phase::Fig(fig));
-        } else {
-            eprintln!("no figure {fig} in the paper's evaluation");
-            std::process::exit(2);
-        }
-    }
-    for claim in &args.claims {
-        if ALL_CLAIMS.contains(&claim.as_str()) {
-            phases.push(Phase::Claim(claim.clone()));
-        } else {
-            eprintln!(
-                "unknown claim {claim} (expected one of: {})",
-                ALL_CLAIMS.join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
+    finish_trace(&args, &trace);
+    finish_profile(&args, &trace);
+}
 
-    // Phases are independent — each prepares its own scenario from the
-    // master seed — so they run through the same engine as the inner
-    // sweeps. With --timing they run one at a time so per-phase
-    // wall-clocks are not distorted by concurrent phases.
+/// The figure/claim grid. Phases are independent — each prepares its own
+/// scenario from the master seed — so they run through the same engine as
+/// the inner sweeps. With --timing they run one at a time so per-phase
+/// wall-clocks are not distorted by concurrent phases, and the walls go to
+/// a BENCH_repro.json entry named after the scale.
+fn run_grid(args: &Args, phases: &[Phase], trace: &mut Trace) -> serde_json::Value {
     let phase_threads = if args.timing { 1 } else { args.threads };
     let total = Instant::now();
-    let ran = proxbal_parallel::map_items_traced(
-        &phases,
-        phase_threads,
-        &mut trace,
-        |_, phase, trace| {
-            trace.relabel(&phase.key());
+    let ran =
+        proxbal_parallel::map_items_traced(phases, phase_threads, trace, |_, phase, trace| {
+            trace.relabel(&phase.key);
             // Worker threads have an empty phase stack, so each grid phase
             // profiles as its own root.
-            let _p = proxbal_profile::phase(&phase.key());
+            let _p = proxbal_profile::phase(&phase.key);
             let t = Instant::now();
-            let (text, value) = run_phase(phase, &args, trace);
+            let (text, value) = (phase.run)(args, trace);
             (text, value, t.elapsed())
-        },
-    );
+        });
     let total_wall = total.elapsed();
 
     let mut results = serde_json::Map::new();
     let mut timings = Vec::new();
     for (phase, (text, value, wall)) in phases.iter().zip(ran) {
         print!("{text}");
-        let key = phase.key();
         let mut entry = serde_json::Map::new();
-        entry.insert("phase".into(), serde_json::json!(key.clone()));
+        entry.insert("phase".into(), serde_json::json!(phase.key.clone()));
         entry.insert("wall_s".into(), serde_json::json!(wall.as_secs_f64()));
         if let Some(graphs) = value.get("graphs").and_then(serde_json::Value::as_u64) {
             entry.insert("graphs".into(), serde_json::json!(graphs));
@@ -1132,7 +920,7 @@ fn main() {
             entry.insert("peak_messages".into(), serde_json::json!(m));
         }
         timings.push(serde_json::Value::Object(entry));
-        results.insert(key, value);
+        results.insert(phase.key.clone(), value);
     }
 
     if args.timing {
@@ -1152,8 +940,6 @@ fn main() {
             }
         }
         println!("{:<18} {:>8.2}s", "total", total_wall.as_secs_f64());
-        // One top-level entry per scale, so full/small/xl/faults runs
-        // coexist in the committed document.
         let entry = serde_json::json!({
             "seed": args.seed,
             "threads": args.threads,
@@ -1162,20 +948,7 @@ fn main() {
         });
         merge_bench_json(args.scale.name(), entry);
     }
-
-    if let Some(path) = &args.json {
-        let doc = serde_json::json!({
-            "paper": "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)",
-            "seed": args.seed,
-            "scale": args.scale.name(),
-            "results": serde_json::Value::Object(results),
-        });
-        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-            .expect("write json");
-        println!("wrote {path}");
-    }
-    finish_trace(&args, &trace);
-    finish_profile(&args, &trace);
+    serde_json::Value::Object(results)
 }
 
 fn fig4(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
@@ -1296,7 +1069,6 @@ fn fig78(
     let graphs = match args.scale {
         Scale::Full => 10,
         Scale::Small => 3,
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     say!(
         o,
@@ -1380,7 +1152,6 @@ fn claim_rounds(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     let sizes: Vec<usize> = match args.scale {
         Scale::Full => vec![256, 512, 1024, 2048, 4096],
         Scale::Small => vec![64, 128, 256, 512],
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     let rows = rounds_scaling(&sizes, &[2, 8], args.seed, args.threads, trace);
     let json = serde_json::to_value(&rows).expect("serialize rows");
@@ -1421,7 +1192,6 @@ fn claim_repair(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     let peers = match args.scale {
         Scale::Full => 2048,
         Scale::Small => 256,
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     say!(
         o,
@@ -1553,7 +1323,6 @@ fn claim_drift(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     let peers = match args.scale {
         Scale::Full => 1024,
         Scale::Small => 256,
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     let mut s = scenario(args, TopologyKind::None);
     s.peers = peers;
@@ -1626,7 +1395,6 @@ fn claim_latency(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) 
     let sizes: Vec<usize> = match args.scale {
         Scale::Full => vec![1024, 4096],
         Scale::Small => vec![256],
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     let rows = proxbal_sim::experiments::protocol_latency(
         &sizes,

@@ -688,9 +688,9 @@ pub fn protocol_latency(
     rows
 }
 
-/// Compact per-run summary of one xl-scale balancing pass. The full
-/// [`BalanceReport`] carries every transfer record — tens of thousands of
-/// entries at 65k peers — so the xl harness keeps the figure-shaped
+/// Compact per-run summary of one xl2 balancing pass. The full
+/// [`BalanceReport`] carries every transfer record — hundreds of thousands
+/// of entries at 1M peers — so the xl2 harness keeps the figure-shaped
 /// aggregates and drops the raw records.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct XlRunSummary {
@@ -751,96 +751,6 @@ impl XlRunSummary {
     }
 }
 
-/// Result of the xl-scale end-to-end pass.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct XlScaleOutput {
-    /// Peers in the overlay.
-    pub peers: usize,
-    /// Nodes in the ts50k underlay graph.
-    pub underlay_nodes: usize,
-    /// Virtual servers on the ring.
-    pub virtual_servers: usize,
-    /// Oracle row-cache bound used (rows).
-    pub oracle_capacity: usize,
-    /// Wall-clock seconds to generate the topology, overlay and oracles.
-    pub prepare_wall_s: f64,
-    /// Proximity-aware four-phase run.
-    pub aware: XlRunSummary,
-    /// Proximity-ignorant four-phase run.
-    pub ignorant: XlRunSummary,
-}
-
-/// The xl-scale pass: prepares the xl preset (65,536 peers over a ~50k
-/// underlay) with a bounded oracle cache, then runs the full four-phase
-/// balancer twice from identical initial state — proximity-aware and
-/// proximity-ignorant, the Figure-7 comparison shape. Each mode's run lands
-/// on its own child track (`aware` / `ignorant`) of `trace`; `threads`
-/// workers run inside each balancing round (purely a performance knob —
-/// the output is byte-identical at any count). Heartbeat lines after the
-/// preparation and after each mode's run go to the global
-/// [`proxbal_profile::progress`] sink, never to stdout.
-pub fn xl_scale(seed: u64, threads: usize, trace: &mut Trace) -> XlScaleOutput {
-    let scenario = Scenario::builder().xl().seed(seed).build();
-    let t0 = std::time::Instant::now();
-    let prepared = scenario.prepare_threads(threads);
-    let prepare_wall_s = t0.elapsed().as_secs_f64();
-    progress::always(&format!(
-        "xl: prepared {} peers in {prepare_wall_s:.1}s",
-        prepared.net.alive_peers().len()
-    ));
-    let underlay = prepared.underlay().expect("xl runs over a topology");
-
-    let run = |mode: ProximityMode, label: u64, name: &str, trace: &mut Trace| -> XlRunSummary {
-        let t = std::time::Instant::now();
-        let mut child = Trace::new(trace.is_enabled(), name);
-        let mut net = prepared.net.clone();
-        let mut loads = prepared.loads.clone();
-        let cfg = BalancerConfig {
-            mode,
-            ..prepared.scenario.balancer
-        };
-        let mut rng = prepared.derived_rng(label);
-        let report = LoadBalancer::new(cfg)
-            .with_threads(threads)
-            .run(&mut net, &mut loads, Some(underlay), &mut rng, &mut child)
-            .expect("attached network");
-        trace.absorb(child);
-        XlRunSummary::of(name, &report, t.elapsed().as_secs_f64())
-    };
-
-    // Same labels as the full-scale Figure-7 runs (78 = aware, 79 =
-    // ignorant) so the xl RNG streams mirror the fig78 shape.
-    let aware = run(
-        ProximityMode::Aware(proxbal_core::ProximityParams::default()),
-        78,
-        "aware",
-        trace,
-    );
-    progress::always(&format!(
-        "xl: aware run done in {:.1}s (heavy {} -> {})",
-        aware.wall_s, aware.heavy_before, aware.heavy_after
-    ));
-    let ignorant = run(ProximityMode::Ignorant, 79, "ignorant", trace);
-    progress::always(&format!(
-        "xl: ignorant run done in {:.1}s (heavy {} -> {})",
-        ignorant.wall_s, ignorant.heavy_before, ignorant.heavy_after
-    ));
-
-    XlScaleOutput {
-        peers: prepared.net.alive_peers().len(),
-        underlay_nodes: prepared
-            .topo
-            .as_ref()
-            .map(|t| t.graph.node_count())
-            .unwrap_or(0),
-        virtual_servers: prepared.net.ring().len(),
-        oracle_capacity: crate::XL_ORACLE_CAPACITY,
-        prepare_wall_s,
-        aware,
-        ignorant,
-    }
-}
-
 /// KT-tree split depth for the sharded xl2 build: the top 8 levels (≤ 256
 /// frontier regions at K = 2) grow serially, everything below in parallel
 /// fragments.
@@ -848,10 +758,10 @@ pub const XL2_SPLIT_DEPTH: u32 = 8;
 
 /// Result of the xl2 (million-peer) pass.
 ///
-/// Unlike [`XlScaleOutput`] this carries a single (proximity-aware) run:
-/// at 1M peers × 5 virtual servers, cloning the overlay and load state for
-/// a second from-identical-state run would double the peak footprint, and
-/// the aware run is the one whose transfer distances the scale stresses.
+/// This carries a single (proximity-aware) run: at 1M peers × 5 virtual
+/// servers, cloning the overlay and load state for a second
+/// from-identical-state run would double the peak footprint, and the aware
+/// run is the one whose transfer distances the scale stresses.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Xl2ScaleOutput {
     /// Peers in the overlay.
@@ -878,7 +788,7 @@ pub struct Xl2ScaleOutput {
 /// scale (1,048,576 peers, sharded preparation, exact transfer distances),
 /// or a reduced-peers variant for smoke and determinism runs — through one
 /// proximity-aware four-phase run, executed **in place** (no overlay/load
-/// clone) so the peak footprint stays within the xl budget. The run lands
+/// clone) so the peak footprint stays within a few GiB. The run lands
 /// on an `aware` child track of `trace`.
 ///
 /// Everything except the `*_wall_s` fields is a pure function of
@@ -917,7 +827,7 @@ pub fn xl2_scale(scenario: Scenario, threads: usize, trace: &mut Trace) -> Xl2Sc
         mode: ProximityMode::Aware(proxbal_core::ProximityParams::default()),
         ..prepared.scenario.balancer
     };
-    // Label 78 = aware, matching the xl / Figure-7 RNG stream naming.
+    // Label 78 = aware, matching the Figure-7 RNG stream naming.
     let mut rng = prepared.derived_rng(78);
     // In place, no clone: the overlay and loads move out of `prepared` for
     // the run because the underlay view borrows it.

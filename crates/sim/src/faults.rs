@@ -65,7 +65,7 @@ impl FaultConfig {
         }
     }
 
-    /// The sweep shape used by `repro --faults`: message loss at `rate`,
+    /// The sweep shape used by `repro faults`: message loss at `rate`,
     /// delays at half that rate, and a crash wave of `rate/2` of the peers.
     /// `rate = 0` degenerates to [`FaultConfig::none`].
     pub fn with_loss(rate: f64, seed: u64) -> Self {
@@ -983,6 +983,49 @@ mod tests {
             assert_eq!(f.timing.losses, p.timing.losses);
             assert_eq!(f.delivered, p.delivered);
         }
+    }
+
+    #[test]
+    fn edge_memo_follows_virtual_server_transfers() {
+        let (mut prepared, tree) = setup();
+        let oracle = prepared.oracle.as_ref().unwrap();
+        let host = |net: &ChordNetwork, id: KtNodeId| net.vs(tree.node(id).host).host;
+        // An edge whose endpoints sit on different peers.
+        let (child, parent) = tree
+            .iter_ids()
+            .filter_map(|c| tree.node(c).parent.map(|p| (c, p)))
+            .find(|&(c, p)| host(&prepared.net, c) != host(&prepared.net, p))
+            .expect("a cross-peer edge");
+        let mut scratch = ProtocolScratch::new();
+        scratch.bind(&tree);
+        let before = scratch
+            .edge_latency(&prepared.net, oracle, &tree, child, parent)
+            .unwrap();
+        // Move the child's virtual server to a peer whose underlay node
+        // is a different distance from the parent's host.
+        let parent_node = prepared.net.peer(host(&prepared.net, parent)).underlay;
+        let to = prepared
+            .net
+            .alive_peers()
+            .into_iter()
+            .find(|&p| {
+                let node = prepared.net.peer(p).underlay;
+                node != parent_node && SimTime::from(oracle.distance(node, parent_node)) != before
+            })
+            .expect("a peer at another distance");
+        prepared.net.transfer_vs(tree.node(child).host, to);
+
+        scratch.bind(&tree);
+        let reused = scratch
+            .edge_latency(&prepared.net, oracle, &tree, child, parent)
+            .unwrap();
+        let mut fresh = ProtocolScratch::new();
+        fresh.bind(&tree);
+        let expected = fresh
+            .edge_latency(&prepared.net, oracle, &tree, child, parent)
+            .unwrap();
+        assert_ne!(expected, before);
+        assert_eq!(reused, expected);
     }
 
     #[test]

@@ -33,6 +33,4 @@ mod scenario;
 pub mod shard;
 
 pub use engine::{run_engine, run_engine_traced, EngineConfig, EngineReport, EpochSample};
-pub use scenario::{
-    Prepared, Scenario, ScenarioBuilder, TopologyKind, XL2_ORACLE_CAPACITY, XL_ORACLE_CAPACITY,
-};
+pub use scenario::{Prepared, Scenario, ScenarioBuilder, TopologyKind, XL2_ORACLE_CAPACITY};

@@ -30,27 +30,23 @@ pub struct PhaseTiming {
     pub losses: usize,
 }
 
-/// Sentinel for "edge latency not memoized yet".
-const UNMEMOIZED: SimTime = SimTime::MAX;
+/// Memo entry that matches no attached host pair: `u32::MAX` marks an
+/// unattached peer, which [`ProtocolScratch::edge_latency`] rejects before
+/// it consults the memo.
+const UNMEMOIZED: (u32, u32, SimTime) = (u32::MAX, u32::MAX, 0);
 
 /// Reusable working state for the phase simulations.
 ///
-/// One scratch serves any number of runs. It re-binds itself to whatever
-/// tree it is handed; per-node tables are reset in O(tree size) and the
-/// edge-latency memo survives across runs **over the same binding** (same
-/// tree shape on the same network), which is exactly the claim-latency
-/// sweep's access pattern. Reusing a scratch across *different* trees is
-/// safe — the binding fingerprint changes and the memo is dropped.
+/// One scratch serves any number of runs over any trees. Per-node tables
+/// are reset in O(tree size) on every bind. The edge-latency memo survives
+/// across runs: each entry remembers the underlay pair it was computed
+/// for, so an edge whose endpoints moved to other peers (a transfer, a
+/// repair, a re-planted slot) is recomputed rather than served stale.
 #[derive(Default)]
 pub struct ProtocolScratch {
-    /// Fingerprint of the tree this scratch is bound to:
-    /// `(root, len, slot_bound)`. Trees are arena-allocated and mutated in
-    /// place, so pointer identity is meaningless; this triple changes for
-    /// any structural change that could invalidate the memo.
-    binding: Option<(KtNodeId, usize, usize)>,
-    /// Latency of the edge from KT node (by slot) to its parent;
-    /// [`UNMEMOIZED`] when unknown.
-    edge_memo: Vec<SimTime>,
+    /// Per child KT slot: `(child underlay, parent underlay, latency)` of
+    /// the edge to its parent as last computed; [`UNMEMOIZED`] when unknown.
+    edge_memo: Vec<(u32, u32, SimTime)>,
     /// Scratch bitmap: node participates in the current aggregation.
     pub(crate) active: Vec<bool>,
     /// Scratch table: active children the node still waits for.
@@ -65,16 +61,11 @@ impl ProtocolScratch {
         Self::default()
     }
 
-    /// Points the scratch at `tree`, resetting the per-run tables and
-    /// keeping the edge memo iff the binding fingerprint is unchanged.
+    /// Sizes the scratch for `tree` and resets the per-run tables. The
+    /// edge memo is only resized: its entries check their own host pair.
     pub(crate) fn bind(&mut self, tree: &KTree) {
         let bound = tree.slot_bound();
-        let binding = Some((tree.root(), tree.len(), bound));
-        if self.binding != binding {
-            self.binding = binding;
-            self.edge_memo.clear();
-            self.edge_memo.resize(bound, UNMEMOIZED);
-        }
+        self.edge_memo.resize(bound, UNMEMOIZED);
         self.active.clear();
         self.active.resize(bound, false);
         self.pending.clear();
@@ -84,8 +75,9 @@ impl ProtocolScratch {
     }
 
     /// Latency of the tree edge from `child` to `parent`, memoized by the
-    /// child's slot (a node has one parent). Free if both KT nodes are
-    /// planted in virtual servers of the same peer.
+    /// child's slot (a node has one parent) together with the underlay
+    /// pair it was computed for. Free if both KT nodes are planted in
+    /// virtual servers of the same peer.
     pub(crate) fn edge_latency(
         &mut self,
         net: &ChordNetwork,
@@ -94,26 +86,25 @@ impl ProtocolScratch {
         child: KtNodeId,
         parent: KtNodeId,
     ) -> Result<SimTime, Error> {
-        let slot = child.0 as usize;
-        let memoized = self.edge_memo[slot];
-        if memoized != UNMEMOIZED {
-            return Ok(memoized);
-        }
         let a = net.vs(tree.node(child).host).host;
         let b = net.vs(tree.node(parent).host).host;
-        let latency = if a == b {
-            0
-        } else {
-            let (ua, ub) = (net.peer(a).underlay, net.peer(b).underlay);
-            if ua == u32::MAX {
-                return Err(Error::UnattachedPeer(a));
-            }
-            if ub == u32::MAX {
-                return Err(Error::UnattachedPeer(b));
-            }
-            SimTime::from(oracle.distance(ua, ub))
-        };
-        self.edge_memo[slot] = latency;
+        if a == b {
+            return Ok(0);
+        }
+        let (ua, ub) = (net.peer(a).underlay, net.peer(b).underlay);
+        if ua == u32::MAX {
+            return Err(Error::UnattachedPeer(a));
+        }
+        if ub == u32::MAX {
+            return Err(Error::UnattachedPeer(b));
+        }
+        let slot = child.0 as usize;
+        let (ma, mb, memoized) = self.edge_memo[slot];
+        if (ma, mb) == (ua, ub) {
+            return Ok(memoized);
+        }
+        let latency = SimTime::from(oracle.distance(ua, ub));
+        self.edge_memo[slot] = (ua, ub, latency);
         Ok(latency)
     }
 }

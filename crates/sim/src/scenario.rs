@@ -18,7 +18,7 @@ pub enum TopologyKind {
     /// The paper's "ts5k-small": nodes scattered across the Internet.
     Ts5kSmall,
     /// A 50k-node transit-stub underlay (ts5k-large shape, 10× the size)
-    /// for the xl-scale runs.
+    /// for the xl2 runs.
     Ts50k,
     /// A tiny topology for tests and examples.
     Tiny,
@@ -59,25 +59,19 @@ pub struct Scenario {
     /// (`0` = unbounded). [`Scenario::prepare`] honors this directly:
     /// memory policy is part of the scenario, set once at build time.
     pub oracle_capacity: usize,
-    /// Number of preparation shards (`0` = the serial preparation path).
-    /// With `shards > 0`, ring-position generation and landmark-vector
-    /// construction are partitioned across this many independent workers
-    /// and merged deterministically — the result depends on `shards` but
-    /// never on `--threads`.
+    /// Number of preparation shards (`0` = peers join serially).
+    /// With `shards > 0`, ring-position generation is partitioned across
+    /// this many independent workers and merged deterministically — the
+    /// result depends on `shards` but never on `--threads`.
     pub shards: usize,
     /// Master seed: every random choice derives from it.
     pub seed: u64,
 }
 
-/// Oracle row-cache bound used by the xl-scale runs: 4096 rows ≈ 800 MB at
-/// ts50k graph size, which keeps the whole four-phase run in a few GiB of
-/// RSS.
-pub const XL_ORACLE_CAPACITY: usize = 4096;
-
 /// Oracle row-cache bound for the xl2 (million-peer) runs. Rows are
-/// delta-compressed, but at 1M peers the budget is the 65k run's footprint,
-/// so the cache is kept an order of magnitude smaller; transfer distances
-/// never need resident rows (they fall back to target-bounded sweeps).
+/// delta-compressed, and at 1M peers the overlay itself takes most of the
+/// memory budget, so the cache stays small; transfer distances never need
+/// resident rows (they fall back to target-bounded sweeps).
 pub const XL2_ORACLE_CAPACITY: usize = 1024;
 
 impl Scenario {
@@ -108,10 +102,10 @@ impl Scenario {
     /// capacity settings — eviction only discards memoized pure functions
     /// of the graph.
     ///
-    /// With [`Scenario::shards`] `> 0` this dispatches to the sharded
-    /// preparation path ([`crate::shard::prepare_sharded`]); the result is
-    /// deterministic in the scenario (including `shards`) and independent
-    /// of the worker-thread count.
+    /// With [`Scenario::shards`] `> 0` the peers join from shard-drawn
+    /// ring positions ([`crate::shard`]); the result is deterministic in
+    /// the scenario (including `shards`) and independent of the
+    /// worker-thread count.
     pub fn prepare(&self) -> Prepared {
         self.prepare_threads(proxbal_parallel::default_threads())
     }
@@ -122,37 +116,17 @@ impl Scenario {
     /// go to the global [`proxbal_profile::progress`] sink, never to stdout,
     /// and never change the prepared result.
     pub fn prepare_threads(&self, threads: usize) -> Prepared {
-        if self.shards > 0 {
-            crate::shard::prepare_sharded(self, threads)
-        } else {
-            self.prepare_serial(threads)
-        }
-    }
-
-    fn prepare_serial(&self, threads: usize) -> Prepared {
         use proxbal_profile::progress;
-        let oracle_capacity = self.oracle_capacity;
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        let topo = match self.topology {
-            TopologyKind::Ts5kLarge => Some(TransitStubTopology::generate(
-                TransitStubConfig::ts5k_large(),
-                &mut rng,
-            )),
-            TopologyKind::Ts5kSmall => Some(TransitStubTopology::generate(
-                TransitStubConfig::ts5k_small(),
-                &mut rng,
-            )),
-            TopologyKind::Ts50k => Some(TransitStubTopology::generate(
-                TransitStubConfig::ts50k(),
-                &mut rng,
-            )),
-            TopologyKind::Tiny => Some(TransitStubTopology::generate(
-                TransitStubConfig::tiny(),
-                &mut rng,
-            )),
+        let config = match self.topology {
+            TopologyKind::Ts5kLarge => Some(TransitStubConfig::ts5k_large()),
+            TopologyKind::Ts5kSmall => Some(TransitStubConfig::ts5k_small()),
+            TopologyKind::Ts50k => Some(TransitStubConfig::ts50k()),
+            TopologyKind::Tiny => Some(TransitStubConfig::tiny()),
             TopologyKind::None => None,
         };
+        let topo = config.map(|c| TransitStubTopology::generate(c, &mut rng));
         if let Some(ref topo) = topo {
             progress::event(&format!(
                 "prepare: topology generated ({} nodes)",
@@ -160,17 +134,22 @@ impl Scenario {
             ));
         }
 
-        let mut net = ChordNetwork::new();
-        for i in 0..self.peers {
-            net.join_peer(self.vs_per_peer, &mut rng);
-            if (i + 1).is_multiple_of(65_536) {
-                progress::event(&format!("prepare: joined {}/{} peers", i + 1, self.peers));
+        let mut net = if self.shards == 0 {
+            let mut net = ChordNetwork::new();
+            for i in 0..self.peers {
+                net.join_peer(self.vs_per_peer, &mut rng);
+                if (i + 1).is_multiple_of(65_536) {
+                    progress::event(&format!("prepare: joined {}/{} peers", i + 1, self.peers));
+                }
             }
-        }
+            net
+        } else {
+            crate::shard::join_sharded(self, threads, &mut rng)
+        };
 
         // Attach peers to distinct random stub nodes (peers are end hosts);
         // only fall back to sharing when there are more peers than stubs.
-        let (oracle, landmarks) = if let Some(ref topo) = topo {
+        let (oracle, latency_oracle, landmarks) = if let Some(ref topo) = topo {
             let mut stubs = topo.stub_nodes();
             assert!(!stubs.is_empty());
             stubs.shuffle(&mut rng);
@@ -178,7 +157,7 @@ impl Scenario {
                 net.attach(p, stubs[i % stubs.len()]);
             }
             let landmarks = select_landmarks(topo, self.landmarks, &mut rng);
-            let cap = oracle_capacity;
+            let cap = self.oracle_capacity;
             let oracle = DistanceOracle::with_capacity(Arc::new(topo.graph.clone()), cap);
             let latency_oracle =
                 DistanceOracle::with_capacity(Arc::new(topo.latency_graph.clone()), cap);
@@ -197,18 +176,14 @@ impl Scenario {
                 "prepare: peers attached, {} landmark rows precomputed",
                 landmarks.len()
             ));
-            (Some((oracle, latency_oracle)), landmarks)
+            (Some(oracle), Some(latency_oracle), landmarks)
         } else {
-            (None, Vec::new())
+            (None, None, Vec::new())
         };
 
         let loads = LoadState::generate(&net, &self.capacity, &self.load, &mut rng);
         progress::event("prepare: load state generated");
 
-        let (oracle, latency_oracle) = match oracle {
-            Some((a, b)) => (Some(a), Some(b)),
-            None => (None, None),
-        };
         Prepared {
             scenario: self.clone(),
             net,
@@ -224,11 +199,11 @@ impl Scenario {
 }
 
 /// Fluent construction of a [`Scenario`] — the one front door for every
-/// experiment configuration (one-shot figures, fault sweeps, xl-scale runs
+/// experiment configuration (one-shot figures, fault sweeps, xl2 runs
 /// and the continuous-operation engine alike).
 ///
 /// A fresh builder carries the paper's full-scale defaults; the
-/// [`ScenarioBuilder::small`] and [`ScenarioBuilder::xl`] presets rescale
+/// [`ScenarioBuilder::small`] and [`ScenarioBuilder::xl2`] presets rescale
 /// them wholesale, and every knob has an individual setter. `build` is
 /// infallible: all invariants are enforced by types and the few numeric
 /// ones (`peers >= 1`, …) by the same asserts `prepare` always had.
@@ -272,17 +247,6 @@ impl ScenarioBuilder {
         self.scenario.peers = 128;
         self.scenario.topology = TopologyKind::Tiny;
         self.scenario.landmarks = 4;
-        self
-    }
-
-    /// Rescales to the xl preset: 65,536 peers over a ~50k-node
-    /// transit-stub underlay, with the oracle cache bounded to
-    /// [`XL_ORACLE_CAPACITY`] rows (unbounded, it can grow past 100 GB at
-    /// this scale).
-    pub fn xl(mut self) -> Self {
-        self.scenario.peers = 65_536;
-        self.scenario.topology = TopologyKind::Ts50k;
-        self.scenario.oracle_capacity = XL_ORACLE_CAPACITY;
         self
     }
 
@@ -365,7 +329,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Number of preparation shards (`0` = serial preparation).
+    /// Number of preparation shards (`0` = peers join serially).
     pub fn shards(mut self, shards: usize) -> Self {
         self.scenario.shards = shards;
         self

@@ -1,10 +1,10 @@
 //! Sharded scenario preparation for the million-peer runs.
 //!
-//! The serial [`Scenario::prepare`](crate::Scenario::prepare) path walks one
-//! RNG through topology generation, a million `join_peer` calls, landmark
+//! Unsharded, [`Scenario::prepare`](crate::Scenario::prepare) walks one RNG
+//! through topology generation, a million `join_peer` calls, landmark
 //! selection and load generation — tens of seconds of single-threaded setup
-//! at xl2 scale. This module partitions the expensive parts across
-//! `scenario.shards` independent workers:
+//! at xl2 scale. With `scenario.shards > 0` the expensive parts are
+//! partitioned across that many independent workers:
 //!
 //! - **Ring positions** — each shard owns a contiguous peer range and draws
 //!   its virtual-server positions from a shard-indexed RNG
@@ -22,59 +22,29 @@
 //! on the master RNG in the serial order. The result is deterministic in
 //! `(scenario, shards)` and byte-identical at any `--threads`.
 
-use crate::scenario::{Prepared, Scenario, TopologyKind};
+use crate::scenario::Scenario;
 use proxbal_chord::ChordNetwork;
-use proxbal_core::LoadState;
 use proxbal_id::Id;
 use proxbal_ktree::KTree;
-use proxbal_topology::{select_landmarks, DistanceOracle, TransitStubConfig, TransitStubTopology};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// RNG stream for preparation shard `s`: the same seed/label mixer as
-/// [`Prepared::derived_rng`], with a label namespace reserved for shards.
+/// [`Prepared::derived_rng`](crate::Prepared::derived_rng), with a label
+/// namespace reserved for shards.
 fn shard_rng(seed: u64, s: usize) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (0xA11C << 32 | s as u64))
 }
 
-/// Sharded counterpart of the serial preparation path; dispatched to by
-/// [`Scenario::prepare`](crate::Scenario::prepare) whenever
-/// `scenario.shards > 0`. Per-phase heartbeat lines (topology, position
-/// batches, join replay, attach/landmarks, loads) go to the global
-/// [`proxbal_profile::progress`] sink and never change the prepared
-/// result.
-pub fn prepare_sharded(scenario: &Scenario, threads: usize) -> Prepared {
+/// The sharded peer-join step of [`Scenario::prepare`](crate::Scenario::prepare),
+/// taken whenever `scenario.shards > 0`: draws every peer's ring positions
+/// from its shard's stream, then replays them in peer order. Collisions
+/// resample from `rng`, the master stream. Heartbeat lines (position
+/// batches, join replay) go to the global [`proxbal_profile::progress`]
+/// sink and never change the result.
+pub(crate) fn join_sharded(scenario: &Scenario, threads: usize, rng: &mut StdRng) -> ChordNetwork {
     use proxbal_profile::progress;
     let shards = scenario.shards.max(1);
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
-
-    let topo = match scenario.topology {
-        TopologyKind::Ts5kLarge => Some(TransitStubTopology::generate(
-            TransitStubConfig::ts5k_large(),
-            &mut rng,
-        )),
-        TopologyKind::Ts5kSmall => Some(TransitStubTopology::generate(
-            TransitStubConfig::ts5k_small(),
-            &mut rng,
-        )),
-        TopologyKind::Ts50k => Some(TransitStubTopology::generate(
-            TransitStubConfig::ts50k(),
-            &mut rng,
-        )),
-        TopologyKind::Tiny => Some(TransitStubTopology::generate(
-            TransitStubConfig::tiny(),
-            &mut rng,
-        )),
-        TopologyKind::None => None,
-    };
-    if let Some(ref topo) = topo {
-        progress::event(&format!(
-            "prepare: topology generated ({} nodes)",
-            topo.graph.node_count()
-        ));
-    }
 
     // Per-shard position batches: shard `s` owns the contiguous peer range
     // [s·chunk, min((s+1)·chunk, peers)) and draws every position of every
@@ -107,60 +77,14 @@ pub fn prepare_sharded(scenario: &Scenario, threads: usize) -> Prepared {
     let mut joined = 0usize;
     for batch in &batches {
         for positions in batch.chunks(vs_per_peer.max(1)) {
-            net.join_peer_at(positions, &mut rng);
+            net.join_peer_at(positions, rng);
             joined += 1;
             if joined.is_multiple_of(262_144) {
                 progress::event(&format!("prepare: joined {joined}/{peers} peers"));
             }
         }
     }
-    drop(batches);
-
-    let (oracle, landmarks) = if let Some(ref topo) = topo {
-        let mut stubs = topo.stub_nodes();
-        assert!(!stubs.is_empty());
-        stubs.shuffle(&mut rng);
-        for (i, p) in net.alive_peers().into_iter().enumerate() {
-            net.attach(p, stubs[i % stubs.len()]);
-        }
-        let landmarks = select_landmarks(topo, scenario.landmarks, &mut rng);
-        let cap = scenario.oracle_capacity;
-        let oracle = DistanceOracle::with_capacity(Arc::new(topo.graph.clone()), cap);
-        let latency_oracle =
-            DistanceOracle::with_capacity(Arc::new(topo.latency_graph.clone()), cap);
-        latency_oracle.precompute(&landmarks, threads);
-        if cap > 0 {
-            for &l in &landmarks {
-                latency_oracle.pin(l);
-            }
-        }
-        progress::event(&format!(
-            "prepare: peers attached, {} landmark rows precomputed",
-            landmarks.len()
-        ));
-        (Some((oracle, latency_oracle)), landmarks)
-    } else {
-        (None, Vec::new())
-    };
-
-    let loads = LoadState::generate(&net, &scenario.capacity, &scenario.load, &mut rng);
-    progress::event("prepare: load state generated");
-
-    let (oracle, latency_oracle) = match oracle {
-        Some((a, b)) => (Some(a), Some(b)),
-        None => (None, None),
-    };
-    Prepared {
-        scenario: scenario.clone(),
-        net,
-        loads,
-        topo,
-        oracle,
-        latency_oracle,
-        landmarks,
-        rng,
-        threads,
-    }
+    net
 }
 
 /// Builds the K-nary tree by growing the top `split_depth` levels serially

@@ -256,26 +256,17 @@ fn builder_presets_are_deterministic_field_rewrites() {
         json(&Scenario::builder().small().seed(6).build())
     );
     assert_eq!(
-        json(&Scenario::builder().xl().seed(7).build()),
-        json(&Scenario::builder().xl().seed(7).build())
-    );
-    assert_eq!(
         json(&Scenario::builder().xl2().seed(7).build()),
         json(&Scenario::builder().xl2().seed(7).build())
     );
     // Presets only rewrite their documented knobs on top of the defaults.
     let default = Scenario::builder().seed(9).build();
-    let xl = Scenario::builder().xl().seed(9).build();
-    assert_eq!(xl.peers, 65_536);
-    assert_eq!(xl.topology, TopologyKind::Ts50k);
-    assert_eq!(xl.oracle_capacity, proxbal_sim::XL_ORACLE_CAPACITY);
-    assert_eq!(xl.landmarks, default.landmarks);
-    assert_eq!(xl.shards, 0);
     let xl2 = Scenario::builder().xl2().seed(9).build();
     assert_eq!(xl2.peers, 1_048_576);
     assert_eq!(xl2.topology, TopologyKind::Ts50k);
     assert_eq!(xl2.oracle_capacity, proxbal_sim::XL2_ORACLE_CAPACITY);
     assert_eq!(xl2.vs_per_peer, default.vs_per_peer);
+    assert_eq!(xl2.landmarks, default.landmarks);
     assert_eq!(xl2.shards, 8);
     // The oracle_capacity knob flows through prepare(): bounded and
     // unbounded caches build the identical network and landmarks.

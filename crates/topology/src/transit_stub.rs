@@ -92,7 +92,7 @@ impl TransitStubConfig {
 
     /// "ts50k": the ts5k-large shape scaled to ~50k nodes (10 transit
     /// domains × 5 transit nodes × 10 stub domains of ~100 nodes), for the
-    /// xl-scale runs that stress bounded-memory behaviour.
+    /// xl2 runs that stress bounded-memory behaviour.
     pub fn ts50k() -> Self {
         TransitStubConfig {
             transit_domains: 10,

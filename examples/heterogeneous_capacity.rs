@@ -21,7 +21,7 @@ fn main() {
         ("Pareto(alpha=1.5)", LoadModel::pareto(1_000_000.0)),
     ] {
         let mut scenario = Scenario::builder().seed(7).build();
-        scenario.peers = 1024; // example-sized; repro --fig 5/6 runs 4096
+        scenario.peers = 1024; // example-sized; `repro figs 5 6` runs 4096
         scenario.topology = TopologyKind::None;
         scenario.load = model;
         let mut prepared = scenario.prepare();

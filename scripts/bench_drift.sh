@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Bench-drift gate: re-derives the deterministic metrics of the committed
 # BENCH_repro.json (small-scale timing run + fault-injection sweep +
-# continuous-operation engine) and fails if any of them changed. Wall-clock and throughput fields are
-# machine-dependent and are filtered out before the comparison — the gate
+# continuous-operation engine) and fails if any of them changed.
+# Wall-clock and throughput fields are machine-dependent and are filtered out before the comparison — the gate
 # guards *results* (message counts, completion rates, imbalance, repair
 # work), not speed.
 #
@@ -25,8 +25,8 @@ trap 'rm -rf "$WORK"' EXIT
 # Re-derive the small-scale timing entry and the fault sweep in a scratch
 # directory so the committed file is never touched.
 (cd "$WORK" \
-  && timeout 900 "$REPRO" --timing --scale small > /dev/null \
-  && timeout 900 "$REPRO" --faults 0.1 --scale small > /dev/null \
+  && timeout 900 "$REPRO" all --timing --scale small > /dev/null \
+  && timeout 900 "$REPRO" faults 0.1 --scale small > /dev/null \
   && timeout 900 "$REPRO" engine --scale small > /dev/null)
 
 # Strip fields that legitimately vary run-to-run or machine-to-machine.
@@ -46,8 +46,8 @@ json.dump(doc, sys.stdout, indent=2, sort_keys=True)
 ' "$1" 'wall_s|total_wall_s|graphs_per_s|threads|peak_rss_bytes|prepare_wall_s|aware_wall_s|ignorant_wall_s|tree_wall_s|lbi_wall_s|aggregate_wall_s|vsa_wall_s|transfer_wall_s|alloc_count|alloc_bytes|peak_alloc_bytes'
 }
 
-# Compare only the entries the scratch run regenerated (small + faults):
-# full, xl and xl2 are too slow for a per-PR gate and are covered by nightly
+# Compare only the entries the scratch run regenerated (small, faults and
+# engine): full and xl2 are too slow for a per-PR gate and are covered by nightly
 # (scripts/check.sh --xl-smoke re-derives the xl2 pipeline at reduced peers).
 pick() {
   python3 -c '
@@ -58,8 +58,8 @@ json.dump(sub, open(sys.argv[2], "w"), indent=2)
 ' "$1" "$2"
 }
 
-# The xl and xl2 entries are not re-derived here, but their presence and
-# shape are still gated: a PR that drops the million-peer entry or strips
+# The xl2 entry is not re-derived here, but its presence and shape are
+# still gated: a PR that drops the million-peer entry or strips
 # a deterministic field from it fails fast instead of silently un-gating
 # the nightly comparison.
 python3 -c '
@@ -88,8 +88,8 @@ if ! diff -u "$WORK/committed.txt" "$WORK/fresh.txt"; then
   echo >&2
   echo "BENCH_repro.json drift: deterministic metrics changed." >&2
   echo "If the change is intentional, regenerate the entries with:" >&2
-  echo "  ./target/release/repro --timing --scale small" >&2
-  echo "  ./target/release/repro --faults 0.1 --scale small" >&2
+  echo "  ./target/release/repro all --timing --scale small" >&2
+  echo "  ./target/release/repro faults 0.1 --scale small" >&2
   echo "  ./target/release/repro engine --scale small" >&2
   echo "and commit the updated BENCH_repro.json." >&2
   exit 1

@@ -9,13 +9,14 @@
 #   2. the full workspace test suite
 #   3. formatting check (no diffs allowed)
 #   4. clippy over every target, warnings denied
-#   5. trace smoke: `repro --fig 7 --scale small --trace` at 1 and 8
+#   5. trace smoke: `repro figs 7 --scale small --trace` at 1 and 8
 #      threads; the chrome trace and the ndjson event log must be
 #      byte-identical across thread counts
 #
-# --xl-smoke additionally runs the 65k-peer / ts50k scale pass
-# (`repro --scale xl --fig 7`) under a generous timeout. It takes a few
-# minutes and needs ~2 GiB of RAM, so it's opt-in rather than part of
+# --xl-smoke additionally runs the 65k-peer / ts50k xl2 pass
+# (`repro xl2 --peers 65536`) at 1 and 8 threads under a generous timeout
+# and fails unless stdout (walls scrubbed) is byte-identical. It takes a
+# few minutes and needs ~2 GiB of RAM, so it's opt-in rather than part of
 # the default gate.
 #
 # --faults-smoke additionally runs the fault-injection sweep at small
@@ -92,9 +93,9 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 # wrote-filename lines (trace paths differ between the compared runs).
 scrub_xl2() { sed -E 's/ +[0-9.]+s$//' "$1" | grep -v -e "^prepare:" -e "^total:" -e "^wrote "; }
 
-echo "==> trace smoke: repro --fig 7 --scale small --trace (threads 1 vs 8)"
-(cd "$SMOKE_DIR" && timeout 600 "$REPRO" --fig 7 --scale small --threads 1 --trace t1.json > trace1.txt \
-                 && timeout 600 "$REPRO" --fig 7 --scale small --threads 8 --trace t8.json > trace8.txt)
+echo "==> trace smoke: repro figs 7 --scale small --trace (threads 1 vs 8)"
+(cd "$SMOKE_DIR" && timeout 600 "$REPRO" figs 7 --scale small --threads 1 --trace t1.json > trace1.txt \
+                 && timeout 600 "$REPRO" figs 7 --scale small --threads 8 --trace t8.json > trace8.txt)
 cmp "$SMOKE_DIR/t1.json" "$SMOKE_DIR/t8.json" || {
   echo "chrome trace differs across thread counts" >&2; exit 1; }
 cmp "$SMOKE_DIR/t1.ndjson" "$SMOKE_DIR/t8.ndjson" || {
@@ -106,11 +107,10 @@ diff <(grep -v -e "wall" -e "^wrote " "$SMOKE_DIR/trace1.txt") \
   echo "traced repro output differs across thread counts" >&2; exit 1; }
 
 if [[ "$XL_SMOKE" == "1" ]]; then
-  echo "==> xl smoke: repro --scale xl --fig 7"
-  timeout 1800 ./target/release/repro --scale xl --fig 7
-  # xl2 at reduced peers: the full sharded pipeline with exact transfer
-  # distances, byte-identical across thread counts. A --peers override never writes a
-  # BENCH entry, so stdout is the whole contract (minus walls and RSS).
+  # xl2 at 65k peers: the full sharded pipeline with exact transfer
+  # distances, byte-identical across thread counts. A --peers override
+  # never writes a BENCH entry, so stdout is the whole contract (minus
+  # walls and RSS).
   echo "==> xl2 smoke: repro xl2 --peers 65536 (threads 1 vs 8)"
   (cd "$SMOKE_DIR" && timeout 1800 "$REPRO" xl2 --peers 65536 --threads 1 > xl2_t1.txt \
                    && timeout 1800 "$REPRO" xl2 --peers 65536 --threads 8 > xl2_t8.txt)
@@ -119,10 +119,10 @@ if [[ "$XL_SMOKE" == "1" ]]; then
 fi
 
 if [[ "$FAULTS_SMOKE" == "1" ]]; then
-  echo "==> faults smoke: repro --faults 0.1 --scale small (threads 1 vs 8)"
-  (cd "$SMOKE_DIR" && timeout 600 "$REPRO" --faults 0.1 --scale small --threads 1 > t1.txt \
+  echo "==> faults smoke: repro faults 0.1 --scale small (threads 1 vs 8)"
+  (cd "$SMOKE_DIR" && timeout 600 "$REPRO" faults 0.1 --scale small --threads 1 > t1.txt \
                    && mv BENCH_repro.json bench_t1.json \
-                   && timeout 600 "$REPRO" --faults 0.1 --scale small --threads 8 > t8.txt \
+                   && timeout 600 "$REPRO" faults 0.1 --scale small --threads 8 > t8.txt \
                    && mv BENCH_repro.json bench_t8.json)
   # The sweep table is deterministic; only the wall-clock line may differ.
   diff <(grep -v "wall" "$SMOKE_DIR/t1.txt") <(grep -v "wall" "$SMOKE_DIR/t8.txt") || {
